@@ -13,6 +13,7 @@ defaults included, so any output is reproducible from its own metadata.
 from __future__ import annotations
 
 import argparse
+import collections
 import os
 import sys
 
@@ -20,8 +21,9 @@ from . import __version__
 from .errors import DimensionError, FrameFormatError
 from .frameio import (
     SeriesRecord,
+    iter_frames,
+    list_frame_dir,
     load_matrix,
-    read_frame_dir,
     write_report_json,
     write_series_csv,
 )
@@ -33,7 +35,7 @@ from .simulate import (
     verify_noise_domination,
     verify_noise_sparsity_decay,
 )
-from .stream import corrected_reading, fit_baseline, monitor_series
+from .stream import corrected_reading, fit_baseline
 
 DEFAULT_SIGMAS = [0.5 * k for k in range(1, 13)]  # 0.5 .. 6.0
 DEFAULT_CS = list(range(10, 101, 10))  # 10 .. 100
@@ -105,8 +107,10 @@ def cmd_index(args) -> int:
             print("note: all-zero matrix reads 1 by the blank-frame convention", file=sys.stderr)
         print(repr(h))
         return 0
-    frames = read_frame_dir(args.baseline, args.pattern)
-    baseline = fit_baseline(frames, args.w0)
+    baseline = _scan_frames(
+        list_frame_dir(args.baseline, args.pattern),
+        lambda frames: fit_baseline(frames, args.w0),
+    )
     reading = corrected_reading(matrix, baseline, mode=args.mode)
     print(SeriesRecord.from_reading(reading).row())
     return 0
@@ -174,6 +178,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _scan_frames(paths, consume):
+    """Run ``consume`` on the frames of ``paths``, decoded one at a time in
+    order, then decode and check every frame it left unread.
+
+    Every file is thus checked even when only some are used, and a bad file
+    anywhere outranks an error of ``consume``, as if every frame had been
+    read before the first was used.
+    """
+    frames = iter_frames(paths)
+    try:
+        result = consume(frames)
+    except (DimensionError, ValueError):
+        collections.deque(frames, maxlen=0)
+        raise
+    collections.deque(frames, maxlen=0)
+    return result
+
+
 def cmd_monitor(args) -> int:
     if args.w0 < 2:
         raise ValueError(f"--w0 must be >= 2, got {args.w0}")
@@ -184,18 +206,23 @@ def cmd_monitor(args) -> int:
         )
     if args.tau_to < args.tau_from:
         raise ValueError("--tau-to must be >= --tau-from")
-    frames = read_frame_dir(args.frames, args.pattern)
-    if args.tau_to > len(frames):
+    paths = list_frame_dir(args.frames, args.pattern)
+    if args.tau_to > len(paths):
         raise ValueError(
-            f"--tau-to {args.tau_to} exceeds the {len(frames)} frames found"
+            f"--tau-to {args.tau_to} exceeds the {len(paths)} frames found"
         )
-    baseline = fit_baseline(frames, args.w0)
-    readings = monitor_series(
-        frames, baseline,
-        range(args.tau_from - 1, args.tau_to),
-        mode=args.mode,
-        t_offset=1,
-    )
+
+    def scan(frames):
+        # fit_baseline draws exactly the first w0 frames; t counts from 1.
+        baseline = fit_baseline(frames, args.w0)
+        readings = [
+            corrected_reading(frame, baseline, mode=args.mode, t=t)
+            for t, frame in enumerate(frames, start=args.w0 + 1)
+            if args.tau_from <= t <= args.tau_to
+        ]
+        return baseline, readings
+
+    baseline, readings = _scan_frames(paths, scan)
     write_series_csv(readings, args.out)
     print(f"monitored {len(readings)} frames ({args.tau_from}..{args.tau_to}), "
           f"sigma2_hat {baseline.sigma2_hat!r}")
@@ -239,18 +266,10 @@ def cmd_verify(args) -> int:
     }
     report["passed"] = bool(passed)
     if args.out:
-        write_report_json(_jsonable(report), args.out)
+        write_report_json(report, args.out)
         print(f"report: {args.out}")
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -227,11 +227,12 @@ def _frame_sort_index(path: Path) -> int:
     return int(digits[-1])
 
 
-def read_frame_dir(path, pattern: str = "*") -> list[np.ndarray]:
-    """Read every frame file matching ``pattern`` in ascending index order.
+def list_frame_dir(path, pattern: str = "*") -> list[Path]:
+    """Frame files matching ``pattern``, in ascending index order.
 
     The index is the last run of digits in each filename stem; order is
-    preserved even across gaps. All frames must share one shape.
+    preserved even across gaps. Nothing is decoded here, so the count of a
+    long stream is known before any of it is read.
     """
     root = Path(path)
     if not root.is_dir():
@@ -243,9 +244,17 @@ def read_frame_dir(path, pattern: str = "*") -> list[np.ndarray]:
     for (i1, p1), (i2, p2) in zip(indexed, indexed[1:]):
         if i1 == i2:
             raise FrameFormatError(f"{root}: duplicate frame index {i1} ({p1.name}, {p2.name})")
-    frames = []
+    return [p for _, p in indexed]
+
+
+def iter_frames(paths: Iterable) -> Iterator[np.ndarray]:
+    """Decode frame files one at a time, in the given order.
+
+    Every frame must have the first frame's shape; a mismatch is a
+    DimensionError naming the file. Only the frame being yielded is held.
+    """
     shape = None
-    for _, p in indexed:
+    for p in paths:
         m = load_matrix(p)
         if shape is None:
             shape = m.shape
@@ -253,8 +262,16 @@ def read_frame_dir(path, pattern: str = "*") -> list[np.ndarray]:
             raise DimensionError(
                 f"{p}: frame shape {m.shape} does not match first frame's {shape}"
             )
-        frames.append(m)
-    return frames
+        yield m
+
+
+def read_frame_dir(path, pattern: str = "*") -> list[np.ndarray]:
+    """Read every frame file matching ``pattern`` in ascending index order.
+
+    The same files, order and checks as ``iter_frames(list_frame_dir(...))``,
+    with every frame held at once.
+    """
+    return list(iter_frames(list_frame_dir(path, pattern)))
 
 
 def write_series_csv(records: Iterable, path):

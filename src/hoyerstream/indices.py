@@ -24,6 +24,9 @@ MOMENT_MODES = ("literal", "debias")
 # rounding error of the kernel's totals (bounded in ``kernels``).
 _CS_SLACK = 1e-9
 
+# Smallest normal float64: a sum of squares below it has lost precision.
+_TINY = float(np.finfo(np.float64).tiny)
+
 
 def as_image_matrix(x, *, min_entries: int = 1, check_finite: bool = True) -> np.ndarray:
     """Validate and coerce input to a C-contiguous float64 2-D array.
@@ -96,14 +99,23 @@ def hoyer_index(x, *, clip: bool = True) -> float:
     Computed as (sqrt(n) - |sum| / frobenius) / (sqrt(n) - 1) over the n
     entries. A constant matrix scores 0, a single-nonzero matrix scores 1,
     and the all-zero matrix scores 1 by convention (a blank frame carries no
-    shift, which is as sparse as it gets). Scale- and sign-invariant.
+    shift, which is as sparse as it gets). Scale- and sign-invariant over
+    the whole finite range: a frame whose sum of squares overflows, or
+    underflows below the smallest normal float, is read scaled to
+    max|x| = 1.
 
     With ``clip=False`` the raw ratio is returned; it can exceed 1 by
     O(1/sqrt(n)) when positive and negative entries nearly cancel, which is
     what diagnostics of pure-noise behaviour need to see.
     """
     m = as_image_matrix(x, min_entries=2)
-    s, ss, _ = matrix_stats(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, ss, _ = matrix_stats(m)
+    if not math.isfinite(ss) or (ss < _TINY and m.any()):
+        # The sum of squares overflowed, or underflowed on a nonzero frame;
+        # the index is scale-invariant, so read the frame scaled to max|x| = 1.
+        m = m / np.abs(m).max()
+        s, ss, _ = matrix_stats(m)
     return hoyer_from_stats(s, ss, m.size, clip=clip)
 
 

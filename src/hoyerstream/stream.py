@@ -14,7 +14,9 @@ in that numbering.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -34,6 +36,9 @@ from .kernels import matrix_stats
 # Positive/negative mass ratios inside this band mean the residual is not
 # meaningfully one-sided, so the index value is not trustworthy.
 _MIXED_SIGN_BAND = (0.25, 4.0)
+
+# Frames a block is sized for when the input does not say how many follow.
+_BLOCK_START = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,30 +85,39 @@ class SparsityReading:
 
 
 def _frame_block(frames, count: int | None = None) -> np.ndarray:
-    """Coerce a frame sequence (or 3-D array) to a (m, p1, p2) float64 block."""
-    if isinstance(frames, np.ndarray) and frames.ndim == 3:
-        block = np.ascontiguousarray(frames, dtype=np.float64)
-        if block.shape[1] < 1 or block.shape[2] < 1:
-            raise DimensionError(f"frames of shape {block.shape[1:]} are empty")
-        if not np.isfinite(block).all():
-            raise ValueError("frame entries must all be finite")
-    else:
-        mats = [as_image_matrix(f) for f in frames]
-        if not mats:
-            raise DimensionError("empty frame sequence")
-        shape = mats[0].shape
-        for k, m in enumerate(mats):
-            if m.shape != shape:
-                raise DimensionError(
-                    f"frame {k} has shape {m.shape}, expected {shape}"
-                )
-        block = np.stack(mats)
+    """Stack the first ``count`` frames (all of them when None) of any
+    iterable into one (m, p1, p2) float64 block.
+
+    No item past the first ``count`` is drawn, so a generator over a long
+    stream is left positioned right after them. The block is sized from the
+    iterable's length hint (or a few frames) and grows by doubling with
+    ``ndarray.resize``, a realloc, so no second block is ever made.
+    """
+    items = iter(frames) if count is None else itertools.islice(frames, count)
+    cap = operator.length_hint(frames) or _BLOCK_START
     if count is not None:
-        if count > block.shape[0]:
-            raise ValueError(f"requested {count} frames, only {block.shape[0]} available")
-        block = block[:count]
-    if block.shape[0] < 1:
+        cap = min(cap, count)
+    block = None
+    m = 0
+    for f in items:
+        mat = as_image_matrix(f)
+        if block is None:
+            block = np.empty((cap,) + mat.shape)
+        elif mat.shape != block.shape[1:]:
+            raise DimensionError(
+                f"frame {m} has shape {mat.shape}, expected {block.shape[1:]}"
+            )
+        if m == block.shape[0]:
+            grown = 2 * m if count is None else min(2 * m, count)
+            block.resize((grown,) + block.shape[1:], refcheck=False)
+        block[m] = mat
+        m += 1
+    if m == 0:
         raise DimensionError("empty frame sequence")
+    if count is not None and m < count:
+        raise ValueError(f"requested {count} frames, only {m} available")
+    if m < block.shape[0]:
+        block.resize((m,) + block.shape[1:], refcheck=False)
     return block
 
 
@@ -131,6 +145,10 @@ def _warn_if_mixed_sign(total: float, positive: float):
 def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
     """Fit the in-control baseline on the first ``w0`` frames.
 
+    ``frames`` may be any iterable, a generator over a long stream
+    included: exactly ``w0`` items are drawn from it (all of them when
+    ``w0`` is None) and only those are held.
+
     The mean frame is the entrywise average. The noise variance pools the
     squared residuals of all w0*p1*p2 entries; each pixel's residuals sum to
     zero by construction, so the pooled sum of squares is already centered,
@@ -142,9 +160,8 @@ def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
     if m < 2:
         raise ValueError(f"baseline needs at least 2 frames, got {m}")
     mu = block.mean(axis=0)
-    resid = block - mu
-    ssq = math.fsum(matrix_stats(resid[k])[1] for k in range(m))
-    pooled = ssq / (resid.size - 1)
+    ssq = math.fsum(matrix_stats(block[k] - mu)[1] for k in range(m))
+    pooled = ssq / (block.size - 1)
     return BaselineModel(mu0_hat=mu, sigma2_hat=pooled * m / (m - 1.0), w0=m)
 
 
@@ -160,17 +177,10 @@ def windowed_index(frames, baseline: BaselineModel, w: int | None = None) -> flo
 
     No bias correction is applied; averaging w independent frames already
     divides the effective noise variance by w, so the raw index converges to
-    the shift's index as the window grows. For a corrected single read of a
-    window average use ``windowed_reading``.
+    the shift's index as the window grows. This is ``windowed_reading``'s
+    ``h_raw``; use that for the corrected read of the same average.
     """
-    block = _frame_block(frames, w)
-    _check_shape(block[0], baseline)
-    avg_resid = block.mean(axis=0) - baseline.mu0_hat
-    if avg_resid.size < 2:
-        raise DimensionError("index needs at least 2 entries per frame")
-    s, ss, pos = matrix_stats(avg_resid)
-    _warn_if_mixed_sign(s, pos)
-    return hoyer_from_stats(s, ss, avg_resid.size)
+    return windowed_reading(frames, baseline, w=w).h_raw
 
 
 def _reading_from_residual(

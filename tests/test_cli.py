@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hoyerstream import (
     simulate_residual_stream,
 )
 from hoyerstream.cli import main
-from hoyerstream.frameio import write_matrix_csv
+from hoyerstream.frameio import write_matrix_csv, write_pgm
 
 SPARSE_H = 0.7819222273431695
 
@@ -163,6 +164,57 @@ class TestMonitor:
              "--tau-to", "99", "--out", "s.csv"]
         )
         assert code == 2
+
+    def test_bad_file_after_monitored_range_exit_3(self, in_tmp, capsys):
+        total = self.write_stream(n_ic=6, n_ooc=4)
+        with open(f"frames/f_{total:03d}.csv", "a") as fh:
+            fh.write("1,oops\n")
+        code = main(
+            ["monitor", "--frames", "frames", "--w0", "4", "--tau-from", "5",
+             "--tau-to", "6", "--out", "s.csv"]
+        )
+        assert code == 3
+        assert f"f_{total:03d}.csv" in capsys.readouterr().err
+        assert not os.path.exists("s.csv")
+
+    def test_mismatched_frame_after_monitored_range_exit_2(self, in_tmp, capsys):
+        total = self.write_stream(n_ic=6, n_ooc=4)
+        write_matrix_csv(np.zeros((3, 3)), f"frames/f_{total + 1:03d}.csv")
+        code = main(
+            ["monitor", "--frames", "frames", "--w0", "4", "--tau-from", "5",
+             "--tau-to", "6", "--out", "s.csv"]
+        )
+        assert code == 2
+        assert f"f_{total + 1:03d}.csv" in capsys.readouterr().err
+        assert not os.path.exists("s.csv")
+
+    def test_peak_memory_independent_of_stream_length(self, in_tmp):
+        # Same baseline window and monitored range over 60 and 240 frames:
+        # the traced peak may differ by bookkeeping, not by frames held.
+        shape = (96, 128)
+        rng = np.random.Generator(np.random.Philox(3))
+        for name, count in (("short", 60), ("long", 240)):
+            os.mkdir(name)
+            for k in range(count):
+                frame = np.rint(1000.0 + 30.0 * rng.standard_normal(shape))
+                write_pgm(frame, f"{name}/f_{k + 1:04d}.pgm", maxval=4095)
+
+        def peak(name):
+            tracemalloc.start()
+            try:
+                code = main(
+                    ["monitor", "--frames", name, "--w0", "20", "--tau-from", "21",
+                     "--tau-to", "30", "--out", f"{name}.csv"]
+                )
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("short")  # warm-up: first-call caches stay out of the comparison
+        short, long = peak("short"), peak("long")
+        frame_bytes = shape[0] * shape[1] * 8
+        assert long - short <= 3 * frame_bytes, (short, long)
 
     def test_missing_frame_dir_exit_3(self, in_tmp):
         code = main(

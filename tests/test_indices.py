@@ -35,6 +35,15 @@ finite_matrices = arrays(
     elements=st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False, width=64),
 )
 
+# Multiples of 2**-10 in [-1, 1]: scaled by any normal c they stay finite, and
+# every nonzero entry keeps at least 42 significant bits.
+unit_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 8), st.integers(2, 9)),
+    elements=st.integers(-1024, 1024).map(lambda k: k / 1024.0),
+)
+FINFO = np.finfo(np.float64)
+
 
 class TestHoyer:
     def test_constant_matrix_is_zero(self):
@@ -86,6 +95,27 @@ class TestHoyer:
     def test_scale_and_sign_invariance(self, x, c):
         h = hoyer_index(x)
         assert hoyer_index(c * x) == pytest.approx(h, rel=1e-12, abs=1e-12)
+
+    def test_constant_matrix_is_zero_at_extreme_magnitudes(self):
+        # Sum of squares overflows (1e200) or underflows to 0 (1e-170).
+        assert hoyer_index(np.full((2, 2), 1e200)) == 0.0
+        assert hoyer_index(np.full((2, 2), 1e-170)) == 0.0
+        assert hoyer_index(np.full((2, 2), -FINFO.max)) == 0.0
+        x = np.zeros((3, 3))
+        x[1, 2] = 1e-160
+        assert hoyer_index(x) == 1.0
+
+    @given(
+        unit_matrices,
+        st.floats(min_value=float(FINFO.tiny), max_value=float(FINFO.max)),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scale_invariance_over_full_finite_range(self, x, c, sign):
+        h = hoyer_index(x)
+        hc = hoyer_index(sign * c * x)
+        assert 0.0 <= hc <= 1.0
+        assert hc == pytest.approx(h, abs=1e-9)
 
     def test_scale_invariance_large_noise_matrix(self):
         e = sample_noise(250, 400, NoiseSpec(3.0, 99))

@@ -1,5 +1,8 @@
 """Baseline fitting, residuals, windowed and corrected readings."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,50 @@ class TestFitBaseline:
             fit_baseline([])
         with pytest.raises(ValueError):
             fit_baseline([np.ones((2, 2))] * 3, w0=5)
+
+    def test_draws_exactly_w0_items_from_an_endless_generator(self):
+        drawn = []
+
+        def endless():
+            for k in itertools.count():
+                if k >= 1000:
+                    pytest.fail("fit_baseline kept drawing past w0")
+                drawn.append(k)
+                yield np.full((2, 3), float(k))
+
+        frames = endless()
+        b = fit_baseline(frames, w0=5)
+        assert b.w0 == 5
+        assert drawn == [0, 1, 2, 3, 4]
+        assert np.array_equal(b.mu0_hat, np.full((2, 3), 2.0))
+        assert next(frames)[0, 0] == 5.0
+
+    @pytest.mark.parametrize("w0", [None, 12, 40])
+    def test_same_bits_from_list_array_and_generator(self, w0):
+        # 40 frames outgrow the generator path's first block, so its in-place
+        # growth (and the final trim when w0 is None) is exercised.
+        frames = noisy_frames(np.linspace(0.0, 9.0, 72).reshape(8, 9), 2.0, 40, seed=11)
+        fits = [
+            fit_baseline(frames, w0),
+            fit_baseline(np.stack(frames), w0),
+            fit_baseline((f for f in frames), w0),
+        ]
+        # Reference: one full residual block, reduced frame by frame.
+        block = np.stack(frames[:w0])
+        mu = block.mean(axis=0)
+        resid = block - mu
+        ssq = math.fsum(float(np.dot(r.reshape(-1), r.reshape(-1))) for r in resid)
+        m = block.shape[0]
+        sigma2 = ssq / (resid.size - 1) * m / (m - 1.0)
+        for b in fits:
+            assert b.w0 == m
+            assert b.mu0_hat.tobytes() == mu.tobytes()
+            assert b.sigma2_hat == sigma2
+
+    def test_only_the_window_is_validated(self):
+        frames = [np.ones((2, 2)), np.zeros((2, 2)), np.ones((3, 3)), [[np.nan]]]
+        b = fit_baseline(frames, w0=2)
+        assert np.array_equal(b.mu0_hat, np.full((2, 2), 0.5))
 
     def test_baseline_mean_is_read_only(self):
         b = fit_baseline([np.zeros((2, 2)), np.ones((2, 2))])
