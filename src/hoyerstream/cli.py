@@ -20,10 +20,10 @@ import sys
 from . import __version__
 from .errors import DimensionError, FrameFormatError
 from .frameio import (
-    SeriesRecord,
     iter_frames,
     list_frame_dir,
     load_matrix,
+    series_row,
     write_report_json,
     write_series_csv,
 )
@@ -35,7 +35,7 @@ from .simulate import (
     verify_noise_domination,
     verify_noise_sparsity_decay,
 )
-from .stream import corrected_reading, fit_baseline
+from .stream import corrected_reading, fit_baseline, monitor_series
 
 DEFAULT_SIGMAS = [0.5 * k for k in range(1, 13)]  # 0.5 .. 6.0
 DEFAULT_CS = list(range(10, 101, 10))  # 10 .. 100
@@ -112,7 +112,7 @@ def cmd_index(args) -> int:
         lambda frames: fit_baseline(frames, args.w0),
     )
     reading = corrected_reading(matrix, baseline, mode=args.mode)
-    print(SeriesRecord.from_reading(reading).row())
+    print(series_row(reading))
     return 0
 
 
@@ -213,13 +213,13 @@ def cmd_monitor(args) -> int:
         )
 
     def scan(frames):
-        # fit_baseline draws exactly the first w0 frames; t counts from 1.
+        # fit_baseline draws exactly the first w0 frames, so position 0 of
+        # what is left is frame w0 + 1, counting from 1.
         baseline = fit_baseline(frames, args.w0)
-        readings = [
-            corrected_reading(frame, baseline, mode=args.mode, t=t)
-            for t, frame in enumerate(frames, start=args.w0 + 1)
-            if args.tau_from <= t <= args.tau_to
-        ]
+        readings = monitor_series(
+            frames, baseline, range(args.tau_from - args.w0 - 1, args.tau_to - args.w0),
+            mode=args.mode, t_offset=args.w0 + 1,
+        )
         return baseline, readings
 
     baseline, readings = _scan_frames(paths, scan)

@@ -4,7 +4,9 @@ the series/report writers.
 Readers never guess: ragged rows, non-numeric fields, bad magic bytes,
 truncated payloads, and mismatched frame sizes are all hard errors naming
 the file (and line/column where that makes sense). Writers are byte-stable:
-the same values always produce the same bytes.
+the same values always produce the same bytes. Readings go to disk only
+through ``series_row``, the one rendering of a ``SparsityReading`` as a
+series CSV row, which both the series file and ``index --baseline`` use.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -27,39 +28,20 @@ SERIES_COLUMNS = ("t", "h_raw", "bias", "g", "g_unclamped", "a_bar", "a2_bar", "
 _PGM_MAX_MAXVAL = 65535
 
 
-@dataclass(frozen=True)
-class SeriesRecord:
-    """Flat, serializable form of one monitored-frame reading."""
+def series_row(reading: SparsityReading) -> str:
+    """One series CSV row of ``reading``, in ``SERIES_COLUMNS`` order.
 
-    t: int
-    h_raw: float
-    bias: float
-    g: float
-    g_unclamped: float
-    a_bar: float
-    a2_bar: float
-    sigma2: float
-
-    def __post_init__(self):
-        for name in SERIES_COLUMNS[1:]:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-
-    @classmethod
-    def from_reading(cls, reading: SparsityReading) -> "SeriesRecord":
-        return cls(
-            t=reading.t,
-            h_raw=reading.h_raw,
-            bias=reading.bias,
-            g=reading.g,
-            g_unclamped=reading.g_unclamped,
-            a_bar=reading.moments.a_bar,
-            a2_bar=reading.moments.a2_bar,
-            sigma2=reading.moments.sigma2,
-        )
-
-    def row(self) -> str:
-        return ",".join([str(self.t)] + [repr(getattr(self, c)) for c in SERIES_COLUMNS[1:]])
+    Floats are rendered with shortest round-trip precision (``repr``), so
+    the same reading always gives the same bytes. A non-finite value is a
+    ValueError naming its column.
+    """
+    m = reading.moments
+    values = (reading.h_raw, reading.bias, reading.g, reading.g_unclamped,
+              m.a_bar, m.a2_bar, m.sigma2)
+    for name, v in zip(SERIES_COLUMNS[1:], values):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite")
+    return ",".join([str(reading.t)] + [repr(v) for v in values])
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -274,17 +256,12 @@ def read_frame_dir(path, pattern: str = "*") -> list[np.ndarray]:
     return list(iter_frames(list_frame_dir(path, pattern)))
 
 
-def write_series_csv(records: Iterable, path):
-    """Write readings as CSV with columns exactly ``SERIES_COLUMNS``.
-
-    Accepts SparsityReading or SeriesRecord items. Output is byte-stable:
-    floats are rendered with shortest round-trip precision.
+def write_series_csv(readings: Iterable[SparsityReading], path):
+    """Write readings as CSV with columns exactly ``SERIES_COLUMNS``, one
+    ``series_row`` each. Every row is rendered and checked before the file
+    is opened, so a bad reading leaves no partial file.
     """
-    rows = []
-    for rec in records:
-        if isinstance(rec, SparsityReading):
-            rec = SeriesRecord.from_reading(rec)
-        rows.append(rec.row())
+    rows = [series_row(r) for r in readings]
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(SERIES_COLUMNS) + "\n")

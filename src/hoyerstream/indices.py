@@ -82,7 +82,8 @@ def hoyer_from_stats(s: float, ss: float, n: int, *, clip: bool = True) -> float
 
     Lets callers that already ran the accumulation kernel (for moment
     estimation, say) derive the index without a second pass; identical
-    arithmetic to ``hoyer_index``.
+    arithmetic to ``hoyer_index`` whenever ``ss`` is a normal float (see
+    ``hoyer_from_matrix_stats`` for the rest of the range).
     """
     if ss == 0.0:
         return 1.0
@@ -111,9 +112,19 @@ def hoyer_index(x, *, clip: bool = True) -> float:
     m = as_image_matrix(x, min_entries=2)
     with np.errstate(over="ignore", invalid="ignore"):
         s, ss, _ = matrix_stats(m)
+    return hoyer_from_matrix_stats(m, s, ss, clip=clip)
+
+
+def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = True) -> float:
+    """Index of the float64 matrix ``m`` from its ``matrix_stats`` sum and
+    sum of squares, valid over the whole finite range.
+
+    When the sum of squares overflowed, or underflowed below the smallest
+    normal float on a nonzero matrix, the index is read from ``m`` scaled
+    to max|x| = 1; it is scale-invariant, so nothing else changes. Any
+    other matrix takes exactly ``hoyer_from_stats``'s arithmetic.
+    """
     if not math.isfinite(ss) or (ss < _TINY and m.any()):
-        # The sum of squares overflowed, or underflowed on a nonzero frame;
-        # the index is scale-invariant, so read the frame scaled to max|x| = 1.
         m = m / np.abs(m).max()
         s, ss, _ = matrix_stats(m)
     return hoyer_from_stats(s, ss, m.size, clip=clip)

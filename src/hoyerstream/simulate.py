@@ -24,7 +24,7 @@ import numpy as np
 
 from .indices import SignalMoments, as_image_matrix, hoyer_index, noise_bias
 from .kernels import matrix_stats
-from .stream import corrected_reading, fit_baseline
+from .stream import fit_baseline, monitor_series
 
 # Domain tags keep sub-streams of different uses disjoint. Public because
 # the derivation rule is part of the reproducibility contract: cell seed =
@@ -204,21 +204,10 @@ def error_band(errors) -> ErrorBand:
 def _cell_band(anomaly, h_true, sigma, cell_seed, w0, n_ooc, mode) -> ErrorBand:
     """One experiment cell: simulate, fit the baseline on the in-control
     frames, read every out-of-control frame, and band the absolute errors."""
-    frames = simulate_residual_stream(anomaly, NoiseSpec(sigma, cell_seed), w0, n_ooc)
-    baseline = fit_baseline(frames[:w0])
-    errors = [
-        abs(corrected_reading(frames[w0 + i], baseline, mode=mode, t=i + 1).g - h_true)
-        for i in range(n_ooc)
-    ]
-    return error_band(errors)
-
-
-def _run_cells(cells, workers):
-    """Evaluate independent zero-argument cell thunks, optionally threaded."""
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda fn: fn(), cells))
-    return [fn() for fn in cells]
+    frames = iter(simulate_residual_stream(anomaly, NoiseSpec(sigma, cell_seed), w0, n_ooc))
+    baseline = fit_baseline(frames, w0)
+    readings = monitor_series(frames, baseline, range(n_ooc), mode=mode, t_offset=1)
+    return error_band([abs(r.g - h_true) for r in readings])
 
 
 def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
@@ -230,22 +219,30 @@ def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
     )
 
 
-def _sweep(values, tag, build_anomaly, sigma_of, seed, w0, n_ooc, mode, replicates, workers, per_replicate):
+def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers, per_replicate):
+    """Band every ``(value, anomaly, sigma, key)`` cell once per replicate,
+    seeded ``subseed(seed, tag, key, rep)``, and table the bands by value.
+
+    Cells are independent, so with ``workers`` > 1 they run on that many
+    threads without changing any value.
+    """
     jobs = []
-    for value in values:
-        anomaly = build_anomaly(value)
+    for _, anomaly, sigma, key in cells:
         h_true = hoyer_index(anomaly)
-        key = float_key(sigma_of(value)) if tag == ROBUSTNESS_TAG else int(value)
-        for rep in range(replicates):
-            cell_seed = subseed(seed, tag, key, rep)
-            jobs.append(
-                lambda a=anomaly, h=h_true, s=sigma_of(value), cs=cell_seed: _cell_band(
-                    a, h, s, cs, w0, n_ooc, mode
-                )
-            )
-    bands = _run_cells(jobs, workers)
+        jobs += [
+            (anomaly, h_true, sigma, subseed(seed, tag, key, rep)) for rep in range(replicates)
+        ]
+
+    def run(job):
+        return _cell_band(*job, w0, n_ooc, mode)
+
+    if workers is not None and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            bands = list(pool.map(run, jobs))
+    else:
+        bands = [run(job) for job in jobs]
     table = {}
-    for i, value in enumerate(values):
+    for i, (value, *_) in enumerate(cells):
         per_rep = bands[i * replicates : (i + 1) * replicates]
         table[value] = per_rep if per_replicate else _aggregate(per_rep)
     return table
@@ -276,20 +273,10 @@ def run_robustness(
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("empty sigma grid")
-    spec = AnomalySpec(kind=kind, p1=dims[0], p2=dims[1])
-    anomaly = spec.build()
+    anomaly = AnomalySpec(kind=kind, p1=dims[0], p2=dims[1]).build()
+    cells = [(s, anomaly, s, float_key(s)) for s in sigmas]
     return _sweep(
-        sigmas,
-        ROBUSTNESS_TAG,
-        lambda _v: anomaly,
-        lambda v: v,
-        seed,
-        w0,
-        n_ooc,
-        mode,
-        replicates,
-        workers,
-        per_replicate,
+        cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers, per_replicate
     )
 
 
@@ -314,21 +301,9 @@ def run_consistency(
     cs = [int(c) for c in cs]
     if not cs:
         raise ValueError("empty multiplier grid")
-    for c in cs:
-        if c <= 0 or c % 10 != 0:
-            raise ValueError(f"multiplier c must be a positive multiple of 10, got {c}")
+    cells = [(c, make_scaled_anomaly(kind, c), sigma, c) for c in cs]
     return _sweep(
-        cs,
-        CONSISTENCY_TAG,
-        lambda c: make_scaled_anomaly(kind, c),
-        lambda _c: sigma,
-        seed,
-        w0,
-        n_ooc,
-        mode,
-        replicates,
-        workers,
-        per_replicate,
+        cells, CONSISTENCY_TAG, seed, w0, n_ooc, mode, replicates, workers, per_replicate
     )
 
 

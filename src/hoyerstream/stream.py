@@ -7,9 +7,12 @@ are provided: per-frame corrected readings (the noise variance is handled by
 the bias correction) and window-averaged raw readings (averaging w residuals
 divides the effective noise variance by w instead).
 
-Frame positions are plain 0-based sequence indices throughout; callers with
-their own frame numbering pass ``t_offset`` so emitted readings carry labels
-in that numbering.
+The functions that take several frames accept any iterable of them, a
+generator over a long stream included, and draw no more of it than they
+read: a monitor run is ``fit_baseline(frames, w0)`` followed by
+``monitor_series`` over the same iterator. Frame positions are plain 0-based
+counts of the items drawn; callers with their own frame numbering pass
+``t_offset`` so emitted readings carry labels in that numbering.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from .errors import DimensionError, MixedSignWarning
 from .indices import (
     SignalMoments,
     as_image_matrix,
-    hoyer_from_stats,
+    hoyer_from_matrix_stats,
     moments_from_stats,
     noise_bias,
 )
@@ -39,6 +42,9 @@ _MIXED_SIGN_BAND = (0.25, 4.0)
 
 # Frames a block is sized for when the input does not say how many follow.
 _BLOCK_START = 16
+
+# Returned by ``next`` on an exhausted stream.
+_END = object()
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +196,7 @@ def _reading_from_residual(
         raise DimensionError("index needs at least 2 entries per frame")
     s, ss, pos = matrix_stats(r)
     _warn_if_mixed_sign(s, pos)
-    h_raw = hoyer_from_stats(s, ss, r.size)
+    h_raw = hoyer_from_matrix_stats(r, s, ss)
     moments = moments_from_stats(s, ss, r.size, sigma2_hat, mode)
     return SparsityReading(t=t, h_raw=h_raw, bias=noise_bias(moments), moments=moments)
 
@@ -203,6 +209,11 @@ def corrected_reading(
     Forms the residual, reads the raw index, estimates the shift moments
     with the baseline's noise variance, and subtracts the predicted bias.
     With sigma2_hat == 0 this reduces exactly to the raw index.
+
+    The raw index is read over the whole finite range, as ``hoyer_index``
+    reads it. The moments are not rescaled: a residual whose mean square
+    is not a finite float64 (entries near 1e200, say) raises ValueError
+    ("a2_bar must be finite").
     """
     return _reading_from_residual(residual(x, baseline), baseline.sigma2_hat, mode, t)
 
@@ -224,7 +235,7 @@ def windowed_reading(
 
 
 def monitor_series(
-    frames: Sequence,
+    frames: Iterable,
     baseline: BaselineModel,
     tau_range: Iterable[int],
     mode: str = "debias",
@@ -232,16 +243,22 @@ def monitor_series(
 ) -> list[SparsityReading]:
     """Corrected readings at each frame position in ``tau_range``, in order.
 
-    Positions are 0-based indices into ``frames``; each reading's ``t`` is
-    the position plus ``t_offset``. Deterministic given the inputs; an empty
-    range yields an empty list.
+    ``frames`` may be any iterable. Positions are 0-based counts of the
+    items it yields and must increase; each reading's ``t`` is the position
+    plus ``t_offset``. No item past the last requested position is drawn,
+    so a generator is left right after it. A position below 0, not above
+    the one before, or past the end of ``frames`` raises IndexError.
+    Deterministic given the inputs; an empty range yields an empty list.
     """
-    n = len(frames)
+    items = iter(frames)
+    drawn = 0
     readings = []
     for tau in tau_range:
-        if not 0 <= tau < n:
-            raise IndexError(f"frame position {tau} out of range [0, {n})")
-        readings.append(
-            corrected_reading(frames[tau], baseline, mode=mode, t=tau + t_offset)
-        )
+        if tau < drawn:
+            raise IndexError(f"frame position {tau} out of order: must be >= {drawn}")
+        frame = next(itertools.islice(items, tau - drawn, None), _END)
+        if frame is _END:
+            raise IndexError(f"frame position {tau} out of range: fewer than {tau + 1} frames")
+        drawn = tau + 1
+        readings.append(corrected_reading(frame, baseline, mode=mode, t=tau + t_offset))
     return readings

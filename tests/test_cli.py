@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from hoyerstream import (
+    MOMENT_MODES,
     NoiseSpec,
+    fit_baseline,
     hoyer_index,
     make_sparse_anomaly,
+    monitor_series,
     simulate_residual_stream,
 )
 from hoyerstream.cli import main
-from hoyerstream.frameio import write_matrix_csv, write_pgm
+from hoyerstream.frameio import read_frame_dir, write_matrix_csv, write_pgm, write_series_csv
 
 SPARSE_H = 0.7819222273431695
 
@@ -147,6 +150,22 @@ class TestMonitor:
         assert all(gs[t] > 0.9 for t in range(21, 26))
         band_h = hoyer_index(10.0 * make_sparse_anomaly(20, 30) / 5.0)
         assert all(abs(gs[t] - band_h) < 0.1 for t in range(27, 41))
+
+    @pytest.mark.parametrize("mode", MOMENT_MODES)
+    def test_series_is_the_library_series(self, in_tmp, mode):
+        # The command and the library share one reading path: the same
+        # frames, window and range give the same bytes either way.
+        self.write_stream()
+        code = main(
+            ["monitor", "--frames", "frames", "--w0", "20", "--tau-from", "23",
+             "--tau-to", "37", "--mode", mode, "--out", "cli.csv"]
+        )
+        assert code == 0
+        frames = read_frame_dir("frames")
+        baseline = fit_baseline(frames[:20])
+        readings = monitor_series(frames, baseline, range(22, 37), mode=mode, t_offset=1)
+        write_series_csv(readings, "lib.csv")
+        assert open("cli.csv", "rb").read() == open("lib.csv", "rb").read()
 
     def test_tau_from_must_exceed_w0(self, in_tmp, capsys):
         self.write_stream(n_ic=6, n_ooc=2)

@@ -10,13 +10,14 @@ from hoyerstream import (
     BaselineModel,
     DimensionError,
     FrameFormatError,
+    SignalMoments,
+    SparsityReading,
     corrected_reading,
     sample_noise,
     NoiseSpec,
 )
 from hoyerstream.frameio import (
     SERIES_COLUMNS,
-    SeriesRecord,
     load_matrix,
     read_frame_dir,
     read_matrix_csv,
@@ -216,15 +217,14 @@ class TestSeriesCsv:
         write_series_csv(readings, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_accepts_records(self, tmp_path):
-        rec = SeriesRecord(1, 0.5, 0.1, 0.4, 0.4, 1.0, 2.0, 0.5)
+    def test_record_rejects_non_finite(self, tmp_path):
+        bad = SparsityReading(
+            t=0, h_raw=float("nan"), bias=0.0, moments=SignalMoments(0.0, 1.0, 0.0)
+        )
         p = tmp_path / "s.csv"
-        write_series_csv([rec], p)
-        assert p.read_text().splitlines()[1].startswith("1,0.5,0.1,0.4")
-
-    def test_record_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            SeriesRecord(0, float("nan"), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="h_raw must be finite"):
+            write_series_csv([make_reading(), bad], p)
+        assert not p.exists()
 
 
 class TestReportJson:

@@ -263,6 +263,24 @@ class TestCorrectedReading:
             warnings.simplefilter("error", MixedSignWarning)
             corrected_reading(make_dense_anomaly(100, 200), b)
 
+    def test_underflowing_residual_reads_like_hoyer_index(self):
+        # One row of 1e-170 in a 4x4 residual: its sum of squares underflows
+        # to a subnormal, which must not read as the blank frame's 1.
+        x = np.zeros((4, 4))
+        x[0] = 1e-170
+        b = BaselineModel(np.zeros((4, 4)), 0.0, 2)
+        assert hoyer_index(x) == pytest.approx(2.0 / 3.0)
+        assert corrected_reading(x, b).h_raw == pytest.approx(2.0 / 3.0)
+        assert windowed_reading([x, x], b).h_raw == pytest.approx(2.0 / 3.0)
+
+    def test_overflowing_residual_moments_raise(self):
+        # The raw index is defined, but a mean square near 1e400 is not a
+        # float64, so no moment estimate exists.
+        b = BaselineModel(np.zeros((4, 4)), 0.0, 2)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="a2_bar must be finite"):
+                corrected_reading(np.full((4, 4), 1e200), b)
+
 
 class TestWindowedReading:
     def test_effective_variance_is_scaled(self):
@@ -329,6 +347,36 @@ class TestMonitorSeries:
             monitor_series(frames, b, [10])
         with pytest.raises(IndexError):
             monitor_series(frames, b, [-1])
+
+    def test_draws_nothing_past_the_last_position(self):
+        _, frames = self.make_stream(n_ic=5, n_ooc=5)
+        b = fit_baseline(frames[:5])
+
+        def stream():
+            for k, frame in enumerate(frames):
+                if k > 6:
+                    pytest.fail(f"drew position {k} past the last requested, 6")
+                yield frame
+
+        gen = stream()
+        series = monitor_series(gen, b, [2, 4, 6], t_offset=1)
+        assert series == monitor_series(list(frames), b, [2, 4, 6], t_offset=1)
+        assert [r.t for r in series] == [3, 5, 7]
+
+    def test_shares_one_iterator_with_fit_baseline(self):
+        _, frames = self.make_stream(n_ic=5, n_ooc=5)
+        it = iter(frames)
+        b = fit_baseline(it, 5)
+        assert monitor_series(it, b, range(5), t_offset=5) == monitor_series(
+            frames, fit_baseline(frames[:5]), range(5, 10)
+        )
+
+    @pytest.mark.parametrize("taus", [[3, 3], [4, 2], [0, 1, 0]])
+    def test_non_increasing_positions_rejected(self, taus):
+        _, frames = self.make_stream(n_ic=5, n_ooc=5)
+        b = fit_baseline(frames[:5])
+        with pytest.raises(IndexError, match="out of order"):
+            monitor_series(frames, b, taus)
 
     def test_bit_identical_reruns(self):
         _, frames = self.make_stream(n_ic=10, n_ooc=10)
