@@ -50,7 +50,9 @@ def read_matrix_csv(path) -> np.ndarray:
     path = Path(path)
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # Bytes that are not UTF-8 decode to lone surrogates, which no number
+    # parses, so they fail as a non-numeric field naming line and column.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -152,7 +154,10 @@ def read_pgm(path) -> np.ndarray:
             raise FrameFormatError(
                 f"{path}: expected {width * height} pixels, found {len(values)}"
             )
-        pixels = np.array(values, dtype=np.float64)
+        try:
+            pixels = np.array(values, dtype=np.float64)
+        except OverflowError:
+            raise FrameFormatError(f"{path}: pixel value outside [0, {maxval}]") from None
     else:
         # Binary payload starts after exactly one whitespace byte past maxval.
         if not data[end : end + 1].isspace():

@@ -4,7 +4,8 @@ totals behind the index and its noise correction.
 ``matrix_stats`` is the only implementation and every module of the package
 calls it. It runs on NumPy's compiled reductions, so it needs no build step,
 and each total comes from one fixed reduction, so a report depends only on
-the NumPy/BLAS build it ran on.
+the NumPy build it ran on: no total goes through BLAS, so neither the BLAS
+library nor its thread count moves a bit.
 
 Error bounds against the exact totals, with u = 2**-53 the unit roundoff,
 n >= 1 the entry count and no intermediate overflow or underflow (Higham,
@@ -20,10 +21,10 @@ n >= 1 the entry count and no intermediate overflow or underflow (Higham,
   ``|error| <= (4·log2(n) + 1)·u·sum(|x|)``. Rounding is monotone, so
   neither the positive mass nor the negative mass ``positive - sum`` is
   ever below zero.
-- sum of squares: the BLAS dot product, whose summation order (sequential
-  lanes, blocks, recursive halving, per-thread partials) belongs to the
-  BLAS build; the bound that holds for every order is
-  ``|error| <= n·u / (1 - n·u)·sum(x**2)``.
+- sum of squares: ``np.einsum("i,i->", x, x)``, NumPy's own SIMD
+  sum-of-products loop. It never calls BLAS and makes no temporary, and its
+  order is fixed by the NumPy build alone. The bound that holds for any
+  summation order applies: ``|error| <= n·u / (1 - n·u)·sum(x**2)``.
 """
 
 import numpy as np
@@ -33,6 +34,6 @@ def matrix_stats(x):
     """Return (sum, sum of squares, positive mass) of a 2-D float64 array."""
     flat = x.reshape(-1)
     total = float(np.sum(flat))
-    square = float(np.dot(flat, flat))
+    square = float(np.einsum("i,i->", flat, flat))
     positive = (float(np.abs(flat).sum()) + total) / 2
     return total, square, positive

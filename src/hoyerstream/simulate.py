@@ -115,13 +115,18 @@ def noise_generator(seed: int, *key: int) -> np.random.Generator:
     )
 
 
+def _noise_into(out: np.ndarray, spec: NoiseSpec, *key: int) -> np.ndarray:
+    """Fill ``out`` in place with iid N(0, sigma^2) entries of sub-stream ``key``."""
+    noise_generator(spec.seed, *key).standard_normal(out=out)
+    out *= spec.sigma
+    return out
+
+
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 matrix of iid N(0, sigma^2) entries; same inputs, same bits."""
     if p1 < 1 or p2 < 1:
         raise ValueError(f"dims must be positive, got ({p1}, {p2})")
-    e = noise_generator(spec.seed, *key).standard_normal((p1, p2))
-    e *= spec.sigma
-    return e
+    return _noise_into(np.empty((p1, p2)), spec, *key)
 
 
 def make_dense_anomaly(p1: int, p2: int) -> np.ndarray:
@@ -172,6 +177,15 @@ def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.n
     return sample_noise(p1, p2, spec, STREAM_FRAME_TAG, position)
 
 
+def _stream_frame(out: np.ndarray, a: np.ndarray, spec: NoiseSpec, n_ic: int, k: int):
+    """Write the frame at position ``k`` of a residual stream into ``out``:
+    the noise of ``stream_frame_noise``, plus ``a`` from position ``n_ic`` on."""
+    _noise_into(out, spec, STREAM_FRAME_TAG, k)
+    if k >= n_ic:
+        out += a
+    return out
+
+
 def simulate_residual_stream(
     anomaly, spec: NoiseSpec, n_ic: int, n_ooc: int
 ) -> np.ndarray:
@@ -184,12 +198,9 @@ def simulate_residual_stream(
     a = as_image_matrix(anomaly)
     if n_ic < 1 or n_ooc < 1:
         raise ValueError(f"n_ic and n_ooc must be >= 1, got ({n_ic}, {n_ooc})")
-    p1, p2 = a.shape
-    frames = np.empty((n_ic + n_ooc, p1, p2))
+    frames = np.empty((n_ic + n_ooc,) + a.shape)
     for k in range(n_ic + n_ooc):
-        frames[k] = stream_frame_noise(p1, p2, spec, k)
-        if k >= n_ic:
-            frames[k] += a
+        _stream_frame(frames[k], a, spec, n_ic, k)
     return frames
 
 
@@ -203,8 +214,16 @@ def error_band(errors) -> ErrorBand:
 
 def _cell_band(anomaly, h_true, sigma, cell_seed, w0, n_ooc, mode) -> ErrorBand:
     """One experiment cell: simulate, fit the baseline on the in-control
-    frames, read every out-of-control frame, and band the absolute errors."""
-    frames = iter(simulate_residual_stream(anomaly, NoiseSpec(sigma, cell_seed), w0, n_ooc))
+    frames, read every out-of-control frame, and band the absolute errors.
+
+    The frames are those of ``simulate_residual_stream``, made one at a
+    time, so a cell holds the baseline block and the frame being read.
+    """
+    spec = NoiseSpec(sigma, cell_seed)
+    frames = (
+        _stream_frame(np.empty(anomaly.shape), anomaly, spec, w0, k)
+        for k in range(w0 + n_ooc)
+    )
     baseline = fit_baseline(frames, w0)
     readings = monitor_series(frames, baseline, range(n_ooc), mode=mode, t_offset=1)
     return error_band([abs(r.g - h_true) for r in readings])

@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hoyerstream import (
     BaselineModel,
@@ -18,6 +21,7 @@ from hoyerstream import (
 )
 from hoyerstream.frameio import (
     SERIES_COLUMNS,
+    iter_frames,
     load_matrix,
     read_frame_dir,
     read_matrix_csv,
@@ -241,3 +245,132 @@ class TestReportJson:
     def test_rejects_nan(self, tmp_path):
         with pytest.raises(ValueError):
             write_report_json({"x": float("nan")}, tmp_path / "r.json")
+
+
+_READER_ERRORS = (FrameFormatError, DimensionError)
+
+_matrices = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    elements=st.floats(allow_nan=False, allow_infinity=False, width=64),
+)
+
+
+@st.composite
+def _pgm_images(draw):
+    """(magic, maxval, integer pixels) of a valid P2 or P5 image."""
+    magic = draw(st.sampled_from(["P2", "P5"]))
+    maxval = draw(st.one_of(st.integers(1, 255), st.integers(256, 65535)))
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    pixels = draw(arrays(np.int64, shape, elements=st.integers(0, maxval)))
+    return magic, maxval, pixels
+
+
+def _pgm_bytes(magic, maxval, pixels):
+    header = f"{magic}\n{pixels.shape[1]} {pixels.shape[0]}\n{maxval}\n".encode("ascii")
+    if magic == "P2":
+        return header + b"\n".join(b" ".join(b"%d" % v for v in row) for row in pixels) + b"\n"
+    return header + pixels.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _read_or_reader_error(path, first):
+    """Read ``path`` through ``load_matrix`` and through ``iter_frames`` after
+    ``first``; a bad file may only raise the reader errors."""
+    try:
+        m = load_matrix(path)
+    except _READER_ERRORS:
+        m = None
+    else:
+        assert m.dtype == np.float64 and m.ndim == 2 and np.isfinite(m).all()
+    try:
+        frames = list(iter_frames([first, path]))
+    except _READER_ERRORS:
+        return
+    assert np.array_equal(frames[1], m)
+
+
+@settings(deadline=None)
+@given(_matrices)
+def test_csv_round_trip_is_exact(fuzz_dir, m):
+    p = fuzz_dir / "round.csv"
+    write_matrix_csv(m, p)
+    assert np.array_equal(read_matrix_csv(p), m)
+
+
+@settings(deadline=None)
+@given(_pgm_images())
+def test_pgm_round_trip_is_exact(fuzz_dir, image):
+    magic, maxval, pixels = image
+    p = fuzz_dir / "round.pgm"
+    p.write_bytes(_pgm_bytes(magic, maxval, pixels))
+    assert np.array_equal(read_pgm(p), pixels)
+    if magic == "P5":
+        write_pgm(pixels.astype(np.float64), p, maxval=maxval)
+        assert np.array_equal(read_pgm(p), pixels)
+
+
+_header_fields = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["", "0", "-1", "1e3", "0x10", "9" * 400, "P5", "#", "\xff", "4\x00"]),
+    st.text(max_size=6),
+)
+
+
+@settings(deadline=None)
+@given(_pgm_images(), _header_fields, st.integers(0, 2), st.booleans())
+def test_mutated_pgm_header_raises_only_reader_errors(fuzz_dir, image, field, which, spaced):
+    magic, maxval, pixels = image
+    good = fuzz_dir / "good.pgm"
+    good.write_bytes(_pgm_bytes(magic, maxval, pixels))
+    tokens = [str(pixels.shape[1]), str(pixels.shape[0]), str(maxval)]
+    tokens[which] = field
+    header = f"{magic}\n{tokens[0]} {tokens[1]}\n{tokens[2]}".encode("utf-8")
+    payload = _pgm_bytes(magic, maxval, pixels).split(b"\n", 3)[3]
+    bad = fuzz_dir / "bad.pgm"
+    bad.write_bytes(header + (b"\n" if spaced else b"") + payload)
+    _read_or_reader_error(bad, good)
+
+
+@settings(deadline=None)
+@given(st.one_of(_pgm_images(), _matrices), st.data())
+def test_truncated_or_mutated_payload_raises_only_reader_errors(fuzz_dir, source, data):
+    good = fuzz_dir / ("good.pgm" if isinstance(source, tuple) else "good.csv")
+    if isinstance(source, tuple):
+        good.write_bytes(_pgm_bytes(*source))
+    else:
+        write_matrix_csv(source, good)
+    raw = good.read_bytes()
+    cut = data.draw(st.integers(0, len(raw)), label="cut")
+    edit = data.draw(st.sampled_from(["truncate", "replace", "insert"]), label="edit")
+    junk = data.draw(st.binary(min_size=1, max_size=400), label="junk")
+    if edit == "truncate":
+        mutated = raw[:cut]
+    elif edit == "replace":
+        mutated = raw[:cut] + junk + raw[cut + len(junk):]
+    else:
+        mutated = raw[:cut] + junk + raw[cut:]
+    bad = good.with_name("bad" + good.suffix)
+    bad.write_bytes(mutated)
+    _read_or_reader_error(bad, good)
+
+
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("latin1.csv", b"1.0,2.0\n\xff\xfe,3.0\n", "line 2, column 1: non-numeric"),
+        ("huge.pgm", b"P2\n2 1\n255\n1" + b"0" * 400 + b" 0\n", r"outside \[0, 255\]"),
+    ],
+    ids=["non_utf8_csv", "p2_past_float64"],
+)
+def test_reader_defects_found_by_fuzzing(tmp_path, name, content, message):
+    # A non-UTF-8 CSV raised UnicodeDecodeError, and a P2 sample past the
+    # float64 range raised OverflowError.
+    p = tmp_path / name
+    p.write_bytes(content)
+    with pytest.raises(FrameFormatError, match=message):
+        load_matrix(p)

@@ -1,11 +1,17 @@
 """Accumulation kernel checks: fsum agreement, the sign-mass split, exact
-small cases, and the error bounds the kernel documents."""
+small cases, the error bounds the kernel documents, and bits that do not
+depend on the BLAS thread count."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hoyerstream
 from hoyerstream import indices, kernels, simulate, stream
 
 U = 2.0**-53  # unit roundoff of float64
@@ -76,7 +82,7 @@ def _fsum_oracles(x):
 def test_compensated_sum_survives_cancellation(rng):
     # Under catastrophic cancellation each total stays within the bound the
     # kernel documents for it: pairwise for the sum and the positive mass,
-    # any summation order for the BLAS sum of squares. Bounds come from the
+    # any summation order for the einsum sum of squares. Bounds come from the
     # fsum oracles; the ulp of each oracle covers its own rounding.
     big = rng.standard_normal(499_000) * 1e12
     cancelling = rng.permutation(np.concatenate([big, -big, rng.standard_normal(2_000)]))
@@ -89,3 +95,27 @@ def test_compensated_sum_survives_cancellation(rng):
         assert abs(pos - positive) <= pairwise + U * absolute + math.ulp(positive)
         any_order = n * U / (1.0 - n * U) * square
         assert abs(ss - square) <= any_order + math.ulp(square), (n, ss, square)
+
+
+_PRINT_TOTALS = (
+    "import numpy as np\n"
+    "from hoyerstream.kernels import matrix_stats\n"
+    "x = np.random.default_rng(0).standard_normal((400, 400))\n"
+    "print(*(float(v).hex() for v in matrix_stats(x)))\n"
+)
+
+
+def test_totals_do_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count once, at process start, so each count
+    # needs its own interpreter: exactly two children, one thread and two.
+    src = str(Path(hoyerstream.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _PRINT_TOTALS],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1], outputs

@@ -1,6 +1,7 @@
 """Anomaly factories, seeded noise, streams, bands, sweep drivers, verifiers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,22 @@ class TestSweepDrivers:
         assert len(bands) == 3
         agg = run_robustness([2.0], "dense", 3, w0=20, n_ooc=10, replicates=3)
         assert agg[2.0].m_eps == float(np.median([b.m_eps for b in bands]))
+
+    def test_cell_memory_does_not_grow_with_the_stream(self):
+        # A cell holds its baseline block and the frame being read, not the
+        # stream: 150 more shifted frames may only add their small readings.
+        def peak(n_ooc):
+            tracemalloc.start()
+            try:
+                run_robustness([1.0], "dense", 4, w0=20, n_ooc=n_ooc, dims=(100, 200))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # warm-up: first-call caches stay out of the comparison
+        short, long = peak(50), peak(200)
+        frame_bytes = 100 * 200 * 8
+        assert abs(long - short) < 10 * frame_bytes, (short, long)
 
     def test_workers_do_not_change_results(self):
         serial = run_robustness([0.5, 1.0], "dense", 9, w0=20, n_ooc=10, replicates=2)
