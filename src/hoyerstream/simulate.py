@@ -217,7 +217,7 @@ def _cell_band(anomaly, h_true, sigma, cell_seed, w0, n_ooc, mode) -> ErrorBand:
     frames, read every out-of-control frame, and band the absolute errors.
 
     The frames are those of ``simulate_residual_stream``, made one at a
-    time, so a cell holds the baseline block and the frame being read.
+    time, so a cell holds a few frames, however large ``w0`` and ``n_ooc``.
     """
     spec = NoiseSpec(sigma, cell_seed)
     frames = (

@@ -55,6 +55,18 @@ def welford_oracle(values):
     return mean, math.sqrt(m2 / (n - 1))
 
 
+def pooled_variance_oracle(block) -> float:
+    """Unbiased pooled noise variance of an (m, p1, p2) block, two-pass:
+    each pixel's mean from one fsum, then one fsum of every squared
+    deviation, over p1*p2*(m - 1)."""
+    block = np.asarray(block, dtype=np.float64)
+    m = block.shape[0]
+    columns = block.reshape(m, -1).T.tolist()
+    means = [math.fsum(col) / m for col in columns]
+    ssq = math.fsum((v - mean) ** 2 for col, mean in zip(columns, means) for v in col)
+    return ssq / (len(columns) * (m - 1))
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20260810))

@@ -207,33 +207,48 @@ class TestMonitor:
         assert f"f_{total + 1:03d}.csv" in capsys.readouterr().err
         assert not os.path.exists("s.csv")
 
+    PEAK_SHAPE = (96, 128)
+
+    def write_noise_frames(self, name, count, rng):
+        os.mkdir(name)
+        for k in range(count):
+            frame = np.rint(1000.0 + 30.0 * rng.standard_normal(self.PEAK_SHAPE))
+            write_pgm(frame, f"{name}/f_{k + 1:04d}.pgm", maxval=4095)
+
+    def monitor_peak(self, name, w0, tau_from, tau_to):
+        """Traced peak of one in-process ``monitor`` run, in bytes."""
+        tracemalloc.start()
+        try:
+            code = main(
+                ["monitor", "--frames", name, "--w0", str(w0), "--tau-from", str(tau_from),
+                 "--tau-to", str(tau_to), "--out", f"{name}-{w0}.csv"]
+            )
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_independent_of_stream_length(self, in_tmp):
         # Same baseline window and monitored range over 60 and 240 frames:
         # the traced peak may differ by bookkeeping, not by frames held.
-        shape = (96, 128)
         rng = np.random.Generator(np.random.Philox(3))
-        for name, count in (("short", 60), ("long", 240)):
-            os.mkdir(name)
-            for k in range(count):
-                frame = np.rint(1000.0 + 30.0 * rng.standard_normal(shape))
-                write_pgm(frame, f"{name}/f_{k + 1:04d}.pgm", maxval=4095)
-
-        def peak(name):
-            tracemalloc.start()
-            try:
-                code = main(
-                    ["monitor", "--frames", name, "--w0", "20", "--tau-from", "21",
-                     "--tau-to", "30", "--out", f"{name}.csv"]
-                )
-                assert code == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak("short")  # warm-up: first-call caches stay out of the comparison
-        short, long = peak("short"), peak("long")
-        frame_bytes = shape[0] * shape[1] * 8
+        self.write_noise_frames("short", 60, rng)
+        self.write_noise_frames("long", 240, rng)
+        self.monitor_peak("short", 20, 21, 30)  # warm-up: first-call caches stay out
+        short = self.monitor_peak("short", 20, 21, 30)
+        long = self.monitor_peak("long", 20, 21, 30)
+        frame_bytes = self.PEAK_SHAPE[0] * self.PEAK_SHAPE[1] * 8
         assert long - short <= 3 * frame_bytes, (short, long)
+
+    def test_peak_memory_independent_of_w0(self, in_tmp):
+        # Baseline windows of 20 and 200 frames, same monitored range: the
+        # traced peak may differ by bookkeeping, not by frames held.
+        self.write_noise_frames("frames", 210, np.random.Generator(np.random.Philox(4)))
+        self.monitor_peak("frames", 20, 201, 210)  # warm-up
+        short = self.monitor_peak("frames", 20, 201, 210)
+        long = self.monitor_peak("frames", 200, 201, 210)
+        frame_bytes = self.PEAK_SHAPE[0] * self.PEAK_SHAPE[1] * 8
+        assert abs(long - short) < 3 * frame_bytes, (short, long)
 
     def test_missing_frame_dir_exit_3(self, in_tmp):
         code = main(

@@ -1,10 +1,14 @@
 """Baseline fitting, residuals, windowed and corrected readings."""
 
+import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoyerstream import (
     BaselineModel,
@@ -24,12 +28,28 @@ from hoyerstream import (
     windowed_reading,
 )
 
+from conftest import pooled_variance_oracle
+
 SPARSE_H = 0.7819222273431695
+U = 2.0**-53
 
 
 def noisy_frames(mu, sigma, count, seed):
     spec = NoiseSpec(sigma, seed)
     return [mu + sample_noise(*mu.shape, spec, k) for k in range(count)]
+
+
+def variance_tolerance(block, oracle):
+    """fit_baseline's documented error bound for an (m, p1, p2) block,
+    widened by the error of ``pooled_variance_oracle`` itself: 5u relative
+    (the deviation, its square, the last fsum and the division), plus
+    m·(2u·|mean|)**2 per pixel from the rounded means, which over
+    n·(m - 1) is at most 8·(u·max|x|)**2."""
+    m = block.shape[0]
+    n = block[0].size
+    q = math.fsum(((block[1:] - block[0]) ** 2).ravel().tolist())
+    bound = (3 * m + 4 * math.log2(n) + 8) * U * q / (n * (m - 1))
+    return bound + 6 * U * oracle + 8 * (U * float(np.abs(block).max())) ** 2
 
 
 class TestFitBaseline:
@@ -46,13 +66,11 @@ class TestFitBaseline:
         assert b.sigma2_hat < 1e-28
 
     def test_two_scalar_frames_hand_oracle(self):
-        # Residuals -1, +1 about the mean 1; pooled variance 2/(2*1 - 1) = 2,
-        # deflation factor w0/(w0-1) = 2 brings sigma2_hat to 4.
+        # Residuals -1, +1 about the mean 1: the sample variance of 0 and 2
+        # is (1 + 1) / (2 - 1) = 2.
         b = fit_baseline([np.array([[0.0]]), np.array([[2.0]])])
         assert np.array_equal(b.mu0_hat, np.array([[1.0]]))
-        raw_pooled = ((0.0 - 1.0) ** 2 + (2.0 - 1.0) ** 2) / (2 * 1 - 1)
-        assert b.sigma2_hat == raw_pooled * 2 / (2 - 1)
-        assert b.sigma2_hat == 4.0
+        assert b.sigma2_hat == 2.0
 
     def test_recovers_known_variance(self):
         # MC oracle over 20 seeded streams at the stream shape used for the
@@ -112,25 +130,67 @@ class TestFitBaseline:
 
     @pytest.mark.parametrize("w0", [None, 12, 40])
     def test_same_bits_from_list_array_and_generator(self, w0):
-        # 40 frames outgrow the generator path's first block, so its in-place
-        # growth (and the final trim when w0 is None) is exercised.
         frames = noisy_frames(np.linspace(0.0, 9.0, 72).reshape(8, 9), 2.0, 40, seed=11)
         fits = [
             fit_baseline(frames, w0),
             fit_baseline(np.stack(frames), w0),
             fit_baseline((f for f in frames), w0),
         ]
-        # Reference: one full residual block, reduced frame by frame.
         block = np.stack(frames[:w0])
         mu = block.mean(axis=0)
-        resid = block - mu
-        ssq = math.fsum(float(np.dot(r.reshape(-1), r.reshape(-1))) for r in resid)
-        m = block.shape[0]
-        sigma2 = ssq / (resid.size - 1) * m / (m - 1.0)
+        sigma2 = pooled_variance_oracle(block)
         for b in fits:
-            assert b.w0 == m
+            assert b.w0 == block.shape[0]
             assert b.mu0_hat.tobytes() == mu.tobytes()
-            assert b.sigma2_hat == sigma2
+            assert b.sigma2_hat == fits[0].sigma2_hat
+            assert abs(b.sigma2_hat - sigma2) <= variance_tolerance(block, sigma2)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(2, 60),
+        st.floats(-30.0, 30.0),
+        st.floats(-1e6, 1e6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_within_documented_bound(self, p1, p2, m, log_scale, offset, seed):
+        # Noise of scale 10**log_scale about a common level of up to 1e6
+        # times that scale.
+        scale = 10.0**log_scale
+        rng = np.random.Generator(np.random.Philox(seed))
+        block = scale * (offset + rng.standard_normal((m, p1, p2)))
+        frames = list(block)
+        b = fit_baseline(iter(frames))
+        assert b.w0 == m
+        # Frames are summed in order; NumPy's mean over the stack does the
+        # same except on single-entry frames, which it sums pairwise.
+        assert b.mu0_hat.tobytes() == (functools.reduce(np.add, frames) / m).tobytes()
+        if p1 * p2 > 1:
+            assert b.mu0_hat.tobytes() == block.mean(axis=0).tobytes()
+        oracle = pooled_variance_oracle(block)
+        assert abs(b.sigma2_hat - oracle) <= variance_tolerance(block, oracle)
+        assert fit_baseline([frames[0]] * m).sigma2_hat == 0.0
+
+    def test_peak_memory_independent_of_w0(self):
+        # Ten times the window: the traced peak may differ by bookkeeping,
+        # not by frames held.
+        shape = (96, 128)
+
+        def peak(w0):
+            rng = np.random.Generator(np.random.Philox(5))
+            frames = (1000.0 + 30.0 * rng.standard_normal(shape) for _ in range(w0))
+            tracemalloc.start()
+            try:
+                fit_baseline(frames, w0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # warm-up: first-call caches stay out of the comparison
+        short, long = peak(20), peak(200)
+        frame_bytes = shape[0] * shape[1] * 8
+        assert abs(long - short) < 3 * frame_bytes, (short, long)
 
     def test_only_the_window_is_validated(self):
         frames = [np.ones((2, 2)), np.zeros((2, 2)), np.ones((3, 3)), [[np.nan]]]
