@@ -125,6 +125,8 @@ def _band_cells(table, x_name: str) -> list[dict]:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 0:
+        raise ValueError(f"--workers must be >= 0 (0 = auto), got {args.workers}")
     workers = args.workers if args.workers > 0 else _auto_workers()
     config = {
         "command": "simulate",

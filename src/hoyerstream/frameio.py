@@ -275,8 +275,10 @@ def write_series_csv(readings: Iterable[SparsityReading], path):
 
 
 def write_report_json(report: dict, path):
-    """Write an experiment report as stable JSON (sorted keys, 2-space indent)."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Write an experiment report as stable JSON (sorted keys, 2-space
+    indent). The text is rendered before the file is opened, so a value JSON
+    cannot hold (``nan``, ``inf``) raises ``ValueError`` and leaves no file.
+    """
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)

@@ -5,13 +5,20 @@ sweeps plus direct Monte Carlo checks of the asymptotic claims.
 Randomness contract
 -------------------
 All noise comes from NumPy's Philox counter generator. Sub-streams are
-derived by mixing a key into the master seed with ``numpy.random.SeedSequence
-(master, spawn_key=key)``; experiment cells are keyed by parameter *value*
+derived by mixing a key into the master seed as ``numpy.random.SeedSequence
+(master, spawn_key=key)`` does; experiment cells are keyed by parameter *value*
 (bit pattern for floats) and replicate number, never by grid position, so
 reordering or subsetting a grid leaves every cell's stream unchanged, and the
 frame at position k of a simulated stream can be regenerated on its own.
 Cells are independent, which is what lets the sweep drivers fan out across
 threads without affecting results.
+
+Philox is counter-based, so a frame's noise is fixed by its 128-bit key
+alone. A cell therefore derives the keys of all its frames in one vectorized
+pass (``_philox_keys``, SeedSequence's own hash mixing on uint32 arrays) and
+builds one Philox, which it resets to each frame's key with its counter and
+buffer cleared. The derivation is SeedSequence's, so every frame has the
+bits a fresh generator seeded by ``SeedSequence`` would give it.
 """
 
 from __future__ import annotations
@@ -97,10 +104,100 @@ class ErrorBand:
         return self.hi - self.lo
 
 
+# SeedSequence's constants (NumPy's bit_generator.pyx, after O'Neill's
+# seed_seq): a 4-word pool, hashmix multipliers, the pool mix and the output.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _int_words(n, pad_to: int = 1) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, zero-padded to
+    ``pad_to`` words; 0 is the one word 0, as SeedSequence splits it."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = []
+    while n or len(words) < pad_to:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hashed_keys(columns, n: int) -> np.ndarray:
+    """SeedSequence's pool mixing and ``generate_state(2, np.uint64)`` over
+    entropy ``columns`` (at least 4), each a Python int below 2**32 shared by
+    all ``n`` rows or an (n,) uint32 array; returns (n, 2) uint64.
+
+    The running hash constants do not depend on the data, so they stay
+    Python ints masked to 32 bits. Words shared by all rows are mixed as
+    Python ints, masked after each product and difference; the rest is
+    arithmetic on uint32 arrays, which wraps as the C code's does (there the
+    masks change nothing). So only the words that differ between rows cost
+    array operations.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in columns[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in columns[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty((n, _POOL_SIZE), dtype="<u4")
+    for i, word in enumerate(pool):
+        word = word ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        word = (word * hash_const) & _MASK32
+        state[:, i] = word ^ (word >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _philox_keys(seed: int, prefix, positions=None) -> np.ndarray:
+    """Row i is ``SeedSequence(seed, spawn_key=(*prefix, positions[i]))
+    .generate_state(2, np.uint64)``, the Philox key of that sub-stream, as
+    an (n, 2) uint64 array. With ``positions`` None there is one row, keyed
+    by ``prefix`` alone. Seeds and keys are non-negative ints of any size.
+
+    SeedSequence pads the seed's words with zeros to its pool size when a
+    spawn key is present; without one, the pool is filled with the hash of
+    0, which is the same thing, so the seed is always padded here. Rows
+    whose positions need more 32-bit words are mixed as their own group.
+    """
+    head = _int_words(seed, _POOL_SIZE) + [w for k in prefix for w in _int_words(k)]
+    if positions is None:
+        return _hashed_keys(head, 1)
+    tails = [_int_words(p) for p in positions]
+    groups = {}
+    for row, tail in enumerate(tails):
+        groups.setdefault(len(tail), []).append(row)
+    keys = np.empty((len(tails), 2), dtype=np.uint64)
+    for rows in groups.values():
+        words = np.array([tails[row] for row in rows], dtype=np.uint32)
+        keys[rows] = _hashed_keys(head + list(words.T), len(rows))
+    return keys
+
+
 def subseed(master_seed: int, *key: int) -> int:
     """Derive a 64-bit sub-seed by mixing ``key`` into the master seed."""
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_philox_keys(master_seed, key)[0, 0])
 
 
 def float_key(value: float) -> int:
@@ -110,23 +207,16 @@ def float_key(value: float) -> int:
 
 def noise_generator(seed: int, *key: int) -> np.random.Generator:
     """Philox generator for the given seed, optionally keyed to a sub-stream."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key)))
-    )
-
-
-def _noise_into(out: np.ndarray, spec: NoiseSpec, *key: int) -> np.ndarray:
-    """Fill ``out`` in place with iid N(0, sigma^2) entries of sub-stream ``key``."""
-    noise_generator(spec.seed, *key).standard_normal(out=out)
-    out *= spec.sigma
-    return out
+    return np.random.Generator(np.random.Philox(key=_philox_keys(seed, key)[0]))
 
 
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 matrix of iid N(0, sigma^2) entries; same inputs, same bits."""
     if p1 < 1 or p2 < 1:
         raise ValueError(f"dims must be positive, got ({p1}, {p2})")
-    return _noise_into(np.empty((p1, p2)), spec, *key)
+    out = noise_generator(spec.seed, *key).standard_normal((p1, p2))
+    out *= spec.sigma
+    return out
 
 
 def make_dense_anomaly(p1: int, p2: int) -> np.ndarray:
@@ -177,13 +267,44 @@ def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.n
     return sample_noise(p1, p2, spec, STREAM_FRAME_TAG, position)
 
 
-def _stream_frame(out: np.ndarray, a: np.ndarray, spec: NoiseSpec, n_ic: int, k: int):
-    """Write the frame at position ``k`` of a residual stream into ``out``:
-    the noise of ``stream_frame_noise``, plus ``a`` from position ``n_ic`` on."""
-    _noise_into(out, spec, STREAM_FRAME_TAG, k)
-    if k >= n_ic:
-        out += a
-    return out
+def _cell_noise(spec: NoiseSpec, n: int):
+    """Return ``fill(out, k)``, which writes the noise of
+    ``stream_frame_noise`` at position ``k`` < ``n`` into ``out``.
+
+    All ``n`` keys are derived at once, and one Philox serves every frame:
+    before each frame it is given the frame's key with a zero counter, an
+    empty buffer and no spare 32-bit word, the state a fresh generator starts
+    in. Clearing the buffer matters: 64-bit draws are served from Philox's
+    4-word buffer, so a stale one would shift the next frame's draws. The
+    generator is the caller's alone; it is never shared between threads.
+    """
+    keys = _philox_keys(spec.seed, (STREAM_FRAME_TAG,), range(n))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+
+    def fill(out: np.ndarray, k: int) -> np.ndarray:
+        fresh["state"]["key"] = keys[k]
+        bitgen.state = fresh
+        gen.standard_normal(out=out)
+        out *= spec.sigma
+        return out
+
+    return fill
+
+
+def _stream_frames(a: np.ndarray, spec: NoiseSpec, n_ic: int, n: int, out=None):
+    """Yield the frames at positions 0 .. n-1 of a residual stream, one at a
+    time: the noise of ``stream_frame_noise``, plus ``a`` from position
+    ``n_ic`` on. Frame k is written into ``out[k]`` if ``out`` is given,
+    else into a new array.
+    """
+    noise = _cell_noise(spec, n)
+    for k in range(n):
+        frame = noise(np.empty(a.shape) if out is None else out[k], k)
+        if k >= n_ic:
+            frame += a
+        yield frame
 
 
 def simulate_residual_stream(
@@ -199,8 +320,8 @@ def simulate_residual_stream(
     if n_ic < 1 or n_ooc < 1:
         raise ValueError(f"n_ic and n_ooc must be >= 1, got ({n_ic}, {n_ooc})")
     frames = np.empty((n_ic + n_ooc,) + a.shape)
-    for k in range(n_ic + n_ooc):
-        _stream_frame(frames[k], a, spec, n_ic, k)
+    for _ in _stream_frames(a, spec, n_ic, n_ic + n_ooc, out=frames):
+        pass
     return frames
 
 
@@ -219,11 +340,7 @@ def _cell_band(anomaly, h_true, sigma, cell_seed, w0, n_ooc, mode) -> ErrorBand:
     The frames are those of ``simulate_residual_stream``, made one at a
     time, so a cell holds a few frames, however large ``w0`` and ``n_ooc``.
     """
-    spec = NoiseSpec(sigma, cell_seed)
-    frames = (
-        _stream_frame(np.empty(anomaly.shape), anomaly, spec, w0, k)
-        for k in range(w0 + n_ooc)
-    )
+    frames = _stream_frames(anomaly, NoiseSpec(sigma, cell_seed), w0, w0 + n_ooc)
     baseline = fit_baseline(frames, w0)
     readings = monitor_series(frames, baseline, range(n_ooc), mode=mode, t_offset=1)
     return error_band([abs(r.g - h_true) for r in readings])
@@ -245,6 +362,8 @@ def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers, per_replicate
     Cells are independent, so with ``workers`` > 1 they run on that many
     threads without changing any value.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
     jobs = []
     for _, anomaly, sigma, key in cells:
         h_true = hoyer_index(anomaly)

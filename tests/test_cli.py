@@ -99,6 +99,15 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bad", [["--replicates", "0"], ["--replicates", "-2"], ["--workers", "-1"]]
+    )
+    def test_bad_count_exit_2_and_no_report(self, in_tmp, capsys, bad):
+        assert self.run(*bad) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (in_tmp / "report.json").exists()
+        assert not (in_tmp / "report.csv").exists()
+
     def test_default_grid_robustness_report(self, in_tmp):
         # Bare invocation reproduces the standard sweep: 12 noise levels,
         # every cell's mean error under 0.08.

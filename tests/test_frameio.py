@@ -243,8 +243,10 @@ class TestReportJson:
         assert p1.read_text().index('"a"') < p1.read_text().index('"b"')
 
     def test_rejects_nan(self, tmp_path):
+        path = tmp_path / "r.json"
         with pytest.raises(ValueError):
-            write_report_json({"x": float("nan")}, tmp_path / "r.json")
+            write_report_json({"cells": [{"m_eps": 0.1}, {"m_eps": float("nan")}]}, path)
+        assert not path.exists()
 
 
 _READER_ERRORS = (FrameFormatError, DimensionError)

@@ -1,10 +1,13 @@
 """Anomaly factories, seeded noise, streams, bands, sweep drivers, verifiers."""
 
+import collections
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoyerstream import (
     AnomalySpec,
@@ -29,7 +32,7 @@ from hoyerstream import (
     verify_noise_domination,
     verify_noise_sparsity_decay,
 )
-from hoyerstream.simulate import ROBUSTNESS_TAG
+from hoyerstream.simulate import ROBUSTNESS_TAG, _cell_noise, _philox_keys, noise_generator
 
 from conftest import hoyer_oracle, welford_oracle, bias_oracle
 
@@ -119,6 +122,91 @@ class TestSampleNoise:
             NoiseSpec(1.0, -3)
         with pytest.raises(ValueError):
             NoiseSpec(1.0, 2**64)
+
+
+def _seed_sequence_key(seed, key):
+    return np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(2, np.uint64)
+
+
+_key_elements = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.floats(allow_nan=False).map(float_key),
+)
+
+
+class TestKeyDerivation:
+    """``_philox_keys`` reimplements SeedSequence's mixing; SeedSequence is
+    the oracle for every row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**128 - 1),
+        prefix=st.lists(_key_elements, max_size=2),
+        positions=st.lists(_key_elements, min_size=1, max_size=6),
+    )
+    def test_rows_match_seed_sequence(self, seed, prefix, positions):
+        keys = _philox_keys(seed, prefix, positions)
+        assert keys.shape == (len(positions), 2) and keys.dtype == np.uint64
+        for row, position in zip(keys, positions):
+            assert np.array_equal(row, _seed_sequence_key(seed, [*prefix, position]))
+        assert np.array_equal(_philox_keys(seed, prefix)[0], _seed_sequence_key(seed, prefix))
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**40 + 3, 2**64 - 1])
+    def test_cell_positions_and_public_derivations(self, seed):
+        keys = _philox_keys(seed, (0,), range(400))
+        for k in (0, 1, 255, 256, 399):
+            assert np.array_equal(keys[k], _seed_sequence_key(seed, (0, k)))
+        ss = np.random.SeedSequence(seed, spawn_key=(1, 2))
+        assert subseed(seed, 1, 2) == int(ss.generate_state(1, np.uint64)[0])
+        reference = np.random.Generator(np.random.Philox(ss))
+        assert np.array_equal(
+            noise_generator(seed, 1, 2).standard_normal(9), reference.standard_normal(9)
+        )
+
+    def test_negative_seed_or_key_rejected(self):
+        with pytest.raises(ValueError):
+            _philox_keys(-1, ())
+        with pytest.raises(ValueError):
+            _philox_keys(1, (-2,))
+        with pytest.raises(ValueError):
+            _philox_keys(1, (0,), [3, -1])
+        with pytest.raises(ValueError):
+            subseed(-5, 0)
+        with pytest.raises(ValueError):
+            noise_generator(3, 0, -1)
+
+    def test_cell_generator_resets_buffer_between_frames(self):
+        # Frames of odd entry counts leave Philox's 4-word buffer part-used;
+        # each frame must still draw as a fresh generator at its key does.
+        spec = NoiseSpec(1.0, 21)
+        fill = _cell_noise(spec, 3)
+        for k, (p1, p2) in enumerate([(1, 3), (3, 5), (7, 1)]):
+            frame = fill(np.empty((p1, p2)), k)
+            assert np.array_equal(frame, stream_frame_noise(p1, p2, spec, k)), k
+
+    def test_constant_generator_constructions_per_cell(self, monkeypatch):
+        # A cell builds its generator once, not once per frame: the counts
+        # must not grow with the stream, only with the number of cells.
+        counts = collections.Counter()
+        for name in ("Philox", "Generator", "SeedSequence"):
+            original = getattr(np.random, name)
+
+            def build(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, build)
+
+        def constructions(n_ooc=10, replicates=1):
+            counts.clear()
+            run_robustness([1.0], "dense", 5, w0=20, n_ooc=n_ooc, replicates=replicates)
+            return dict(counts)
+
+        per_cell = constructions()
+        assert sum(per_cell.values()) <= 3, per_cell
+        assert constructions(n_ooc=40) == per_cell
+        assert constructions(replicates=2) == {k: 2 * v for k, v in per_cell.items()}
 
 
 class TestResidualStream:
@@ -249,6 +337,13 @@ class TestSweepDrivers:
     def test_consistency_errors_shrink_with_size(self):
         table = run_consistency([10, 50], "dense", 13, w0=60, n_ooc=60)
         assert table[50].m_eps < table[10].m_eps
+
+    def test_replicates_below_one_rejected(self):
+        for replicates in (0, -1):
+            with pytest.raises(ValueError, match="replicates must be >= 1"):
+                run_robustness([1.0], "dense", 5, replicates=replicates)
+            with pytest.raises(ValueError, match="replicates must be >= 1"):
+                run_consistency([10], "dense", 5, replicates=replicates)
 
     def test_consistency_validates_multipliers(self):
         with pytest.raises(ValueError):
