@@ -14,28 +14,20 @@ from .indices import (
     as_image_matrix,
     corrected_hoyer,
     estimate_moments,
-    gini_index,
     hoyer_index,
     noise_bias,
 )
 from .simulate import (
-    AnomalySpec,
     ErrorBand,
     NoiseSpec,
-    error_band,
     exact_moments,
-    float_key,
     make_dense_anomaly,
     make_scaled_anomaly,
     make_sparse_anomaly,
-    near_square_dims,
-    noise_generator,
     run_consistency,
     run_robustness,
     sample_noise,
     simulate_residual_stream,
-    stream_frame_noise,
-    subseed,
     verify_bias_theorem,
     verify_noise_domination,
     verify_noise_sparsity_decay,
@@ -47,14 +39,12 @@ from .stream import (
     fit_baseline,
     monitor_series,
     residual,
-    windowed_index,
     windowed_reading,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnomalySpec",
     "BaselineModel",
     "DimensionError",
     "ErrorBand",
@@ -67,30 +57,22 @@ __all__ = [
     "as_image_matrix",
     "corrected_hoyer",
     "corrected_reading",
-    "error_band",
     "estimate_moments",
     "exact_moments",
     "fit_baseline",
-    "float_key",
-    "gini_index",
     "hoyer_index",
     "make_dense_anomaly",
     "make_scaled_anomaly",
     "make_sparse_anomaly",
     "monitor_series",
-    "near_square_dims",
     "noise_bias",
-    "noise_generator",
     "residual",
     "run_consistency",
     "run_robustness",
     "sample_noise",
     "simulate_residual_stream",
-    "stream_frame_noise",
-    "subseed",
     "verify_bias_theorem",
     "verify_noise_domination",
     "verify_noise_sparsity_decay",
-    "windowed_index",
     "windowed_reading",
 ]

@@ -28,7 +28,7 @@ _CS_SLACK = 1e-9
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def as_image_matrix(x, *, min_entries: int = 1, check_finite: bool = True) -> np.ndarray:
+def as_image_matrix(x, *, min_entries: int = 1) -> np.ndarray:
     """Validate and coerce input to a C-contiguous float64 2-D array.
 
     Raises DimensionError for wrong rank or too few entries, ValueError for
@@ -41,7 +41,7 @@ def as_image_matrix(x, *, min_entries: int = 1, check_finite: bool = True) -> np
         raise DimensionError(
             f"matrix of shape {a.shape} is too small (need at least {min_entries} entries)"
         )
-    if check_finite and not np.isfinite(a).all():
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must all be finite")
     return np.ascontiguousarray(a)
 
@@ -77,23 +77,6 @@ class SignalMoments:
             )
 
 
-def hoyer_from_stats(s: float, ss: float, n: int, *, clip: bool = True) -> float:
-    """Index value from a precomputed entry sum and sum of squares.
-
-    Lets callers that already ran the accumulation kernel (for moment
-    estimation, say) derive the index without a second pass; identical
-    arithmetic to ``hoyer_index`` whenever ``ss`` is a normal float (see
-    ``hoyer_from_matrix_stats`` for the rest of the range).
-    """
-    if ss == 0.0:
-        return 1.0
-    root_n = math.sqrt(n)
-    h = (root_n - abs(s) / math.sqrt(ss)) / (root_n - 1.0)
-    if clip:
-        return min(max(h, 0.0), 1.0)
-    return h
-
-
 def hoyer_index(x, *, clip: bool = True) -> float:
     """Sparsity of a matrix on a 0-to-1 scale.
 
@@ -119,33 +102,22 @@ def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = 
     """Index of the float64 matrix ``m`` from its ``matrix_stats`` sum and
     sum of squares, valid over the whole finite range.
 
-    When the sum of squares overflowed, or underflowed below the smallest
-    normal float on a nonzero matrix, the index is read from ``m`` scaled
-    to max|x| = 1; it is scale-invariant, so nothing else changes. Any
-    other matrix takes exactly ``hoyer_from_stats``'s arithmetic.
+    Lets callers that already ran the accumulation kernel (for moment
+    estimation, say) derive the index without a second pass. When the sum
+    of squares overflowed, or underflowed below the smallest normal float on
+    a nonzero matrix, the index is read from ``m`` scaled to max|x| = 1; it
+    is scale-invariant, so nothing else changes.
     """
     if not math.isfinite(ss) or (ss < _TINY and m.any()):
         m = m / np.abs(m).max()
         s, ss, _ = matrix_stats(m)
-    return hoyer_from_stats(s, ss, m.size, clip=clip)
-
-
-def gini_index(x) -> float:
-    """Gini sparsity of the absolute entries; slow reference cross-check.
-
-    Sorted-magnitude weighted form: 1 - 2 * sum_k m_(k) * (n - k + 0.5) / (n * ||m||_1)
-    with magnitudes sorted ascending. 0 for constant-magnitude matrices,
-    1 - 1/n for a single nonzero, 1 for the all-zero matrix by the same
-    blank-frame convention as ``hoyer_index``. Scale-invariant.
-    """
-    m = as_image_matrix(x, min_entries=2)
-    mags = np.sort(np.abs(m), axis=None)
-    total = float(np.sum(mags))
-    if total == 0.0:
+    if ss == 0.0:
         return 1.0
-    n = mags.size
-    weights = n - np.arange(1.0, n + 1.0) + 0.5
-    return 1.0 - 2.0 * float(np.dot(mags, weights)) / (n * total)
+    root_n = math.sqrt(m.size)
+    h = (root_n - abs(s) / math.sqrt(ss)) / (root_n - 1.0)
+    if clip:
+        return min(max(h, 0.0), 1.0)
+    return h
 
 
 def noise_bias(moments: SignalMoments) -> float:

@@ -13,12 +13,14 @@ frame at position k of a simulated stream can be regenerated on its own.
 Cells are independent, which is what lets the sweep drivers fan out across
 threads without affecting results.
 
-Philox is counter-based, so a frame's noise is fixed by its 128-bit key
-alone. A cell therefore derives the keys of all its frames in one vectorized
-pass (``_philox_keys``, SeedSequence's own hash mixing on uint32 arrays) and
-builds one Philox, which it resets to each frame's key with its counter and
-buffer cleared. The derivation is SeedSequence's, so every frame has the
-bits a fresh generator seeded by ``SeedSequence`` would give it.
+Philox is counter-based, so a draw's noise is fixed by its 128-bit key
+alone. ``_cell_noise`` is the one place a generator is built: it derives the
+keys of a batch of sub-streams (a cell's frames, a verifier's replicates) in
+one vectorized pass (``_philox_keys``, SeedSequence's own hash mixing on
+uint32 arrays) and builds one Philox, which it resets to each key with its
+counter and buffer cleared; ``sample_noise`` is its one-draw use. The
+derivation is SeedSequence's, so every draw has the bits a fresh generator
+seeded by ``SeedSequence`` would give it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .indices import SignalMoments, as_image_matrix, hoyer_index, noise_bias
 from .kernels import matrix_stats
 from .stream import fit_baseline, monitor_series
 
-# Domain tags keep sub-streams of different uses disjoint. Public because
-# the derivation rule is part of the reproducibility contract: cell seed =
-# subseed(master, tag, value_key, replicate).
+# Domain tags keep sub-streams of different uses disjoint. Part of the
+# reproducibility contract: cell seed = subseed(master, tag, value_key,
+# replicate).
 STREAM_FRAME_TAG = 0
 ROBUSTNESS_TAG = 1
 CONSISTENCY_TAG = 2
@@ -58,30 +60,6 @@ class NoiseSpec:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
         if not 0 <= int(self.seed) < _MAX_SEED:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-
-
-@dataclass(frozen=True)
-class AnomalySpec:
-    """Parametric test shift: a fixed-size pattern or a scaled-dimension one."""
-
-    kind: str
-    p1: int | None = None
-    p2: int | None = None
-    c: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("dense", "sparse"):
-            raise ValueError(f"kind must be 'dense' or 'sparse', got {self.kind!r}")
-        explicit = self.p1 is not None or self.p2 is not None
-        if explicit == (self.c is not None):
-            raise ValueError("give either explicit dims (p1, p2) or a multiplier c")
-
-    def build(self) -> np.ndarray:
-        if self.c is not None:
-            return make_scaled_anomaly(self.kind, self.c)
-        if self.kind == "dense":
-            return make_dense_anomaly(self.p1, self.p2)
-        return make_sparse_anomaly(self.p1, self.p2)
 
 
 @dataclass(frozen=True)
@@ -205,18 +183,38 @@ def float_key(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
-def noise_generator(seed: int, *key: int) -> np.random.Generator:
-    """Philox generator for the given seed, optionally keyed to a sub-stream."""
-    return np.random.Generator(np.random.Philox(key=_philox_keys(seed, key)[0]))
+def _cell_noise(spec: NoiseSpec, prefix, positions=None):
+    """Return ``fill(out, i)``, which writes the N(0, sigma^2) noise of the
+    sub-stream keyed ``(*prefix, positions[i])`` into ``out``; with
+    ``positions`` None there is one sub-stream, keyed ``prefix``, at i = 0.
+
+    All keys are derived at once, and one Philox serves every draw: before
+    each draw it is given the draw's key with a zero counter, an empty
+    buffer and no spare 32-bit word, the state a fresh generator starts in.
+    Clearing the buffer matters: 64-bit draws are served from Philox's
+    4-word buffer, so a stale one would shift the next draw. The generator
+    is the caller's alone; it is never shared between threads.
+    """
+    keys = _philox_keys(spec.seed, prefix, positions)
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+
+    def fill(out: np.ndarray, i: int) -> np.ndarray:
+        fresh["state"]["key"] = keys[i]
+        bitgen.state = fresh
+        gen.standard_normal(out=out)
+        out *= spec.sigma
+        return out
+
+    return fill
 
 
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 matrix of iid N(0, sigma^2) entries; same inputs, same bits."""
     if p1 < 1 or p2 < 1:
         raise ValueError(f"dims must be positive, got ({p1}, {p2})")
-    out = noise_generator(spec.seed, *key).standard_normal((p1, p2))
-    out *= spec.sigma
-    return out
+    return _cell_noise(spec, key)(np.empty((p1, p2)), 0)
 
 
 def make_dense_anomaly(p1: int, p2: int) -> np.ndarray:
@@ -234,6 +232,15 @@ def make_sparse_anomaly(p1: int, p2: int) -> np.ndarray:
     j = np.arange(1, p2 + 1)
     row = np.where((j >= 50) & (j < 60), 5.0, 0.0)
     return np.ascontiguousarray(np.broadcast_to(row, (p1, p2)))
+
+
+def _fixed_anomaly(kind: str, p1: int, p2: int) -> np.ndarray:
+    """The fixed-size dense or sparse test pattern at (p1, p2)."""
+    if kind == "dense":
+        return make_dense_anomaly(p1, p2)
+    if kind == "sparse":
+        return make_sparse_anomaly(p1, p2)
+    raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
 
 
 def make_scaled_anomaly(kind: str, c: int) -> np.ndarray:
@@ -267,39 +274,13 @@ def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.n
     return sample_noise(p1, p2, spec, STREAM_FRAME_TAG, position)
 
 
-def _cell_noise(spec: NoiseSpec, n: int):
-    """Return ``fill(out, k)``, which writes the noise of
-    ``stream_frame_noise`` at position ``k`` < ``n`` into ``out``.
-
-    All ``n`` keys are derived at once, and one Philox serves every frame:
-    before each frame it is given the frame's key with a zero counter, an
-    empty buffer and no spare 32-bit word, the state a fresh generator starts
-    in. Clearing the buffer matters: 64-bit draws are served from Philox's
-    4-word buffer, so a stale one would shift the next frame's draws. The
-    generator is the caller's alone; it is never shared between threads.
-    """
-    keys = _philox_keys(spec.seed, (STREAM_FRAME_TAG,), range(n))
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
-
-    def fill(out: np.ndarray, k: int) -> np.ndarray:
-        fresh["state"]["key"] = keys[k]
-        bitgen.state = fresh
-        gen.standard_normal(out=out)
-        out *= spec.sigma
-        return out
-
-    return fill
-
-
 def _stream_frames(a: np.ndarray, spec: NoiseSpec, n_ic: int, n: int, out=None):
     """Yield the frames at positions 0 .. n-1 of a residual stream, one at a
     time: the noise of ``stream_frame_noise``, plus ``a`` from position
     ``n_ic`` on. Frame k is written into ``out[k]`` if ``out`` is given,
     else into a new array.
     """
-    noise = _cell_noise(spec, n)
+    noise = _cell_noise(spec, (STREAM_FRAME_TAG,), range(n))
     for k in range(n):
         frame = noise(np.empty(a.shape) if out is None else out[k], k)
         if k >= n_ic:
@@ -355,7 +336,7 @@ def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
     )
 
 
-def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers, per_replicate):
+def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers):
     """Band every ``(value, anomaly, sigma, key)`` cell once per replicate,
     seeded ``subseed(seed, tag, key, rep)``, and table the bands by value.
 
@@ -364,6 +345,10 @@ def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers, per_replicate
     """
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if w0 < 2:
+        raise ValueError(f"w0 must be >= 2, got {w0}")
+    if n_ooc < 2:
+        raise ValueError(f"n_ooc must be >= 2, got {n_ooc}")
     jobs = []
     for _, anomaly, sigma, key in cells:
         h_true = hoyer_index(anomaly)
@@ -379,11 +364,10 @@ def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers, per_replicate
             bands = list(pool.map(run, jobs))
     else:
         bands = [run(job) for job in jobs]
-    table = {}
-    for i, (value, *_) in enumerate(cells):
-        per_rep = bands[i * replicates : (i + 1) * replicates]
-        table[value] = per_rep if per_replicate else _aggregate(per_rep)
-    return table
+    return {
+        value: _aggregate(bands[i * replicates : (i + 1) * replicates])
+        for i, (value, *_) in enumerate(cells)
+    }
 
 
 def run_robustness(
@@ -396,7 +380,6 @@ def run_robustness(
     mode: str = "debias",
     replicates: int = 1,
     workers: int | None = None,
-    per_replicate: bool = False,
 ):
     """Error bands of the corrected index across noise levels, fixed dims.
 
@@ -404,18 +387,15 @@ def run_robustness(
     shifted frames at ``dims``, fit the baseline on the in-control part, read
     every shifted frame, and band the absolute errors against the anomaly's
     true index. Returns {sigma: ErrorBand}; with ``replicates`` > 1 each
-    entry is the per-field median over replicate bands (or the full list
-    when ``per_replicate`` is set). Cells may be fanned out over ``workers``
-    threads without changing any value.
+    entry is the per-field median over replicate bands. Cells may be fanned
+    out over ``workers`` threads without changing any value.
     """
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("empty sigma grid")
-    anomaly = AnomalySpec(kind=kind, p1=dims[0], p2=dims[1]).build()
+    anomaly = _fixed_anomaly(kind, *dims)
     cells = [(s, anomaly, s, float_key(s)) for s in sigmas]
-    return _sweep(
-        cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers, per_replicate
-    )
+    return _sweep(cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
 
 def run_consistency(
@@ -428,21 +408,18 @@ def run_consistency(
     mode: str = "debias",
     replicates: int = 1,
     workers: int | None = None,
-    per_replicate: bool = False,
 ):
     """Error bands of the corrected index across dimension multipliers, fixed noise.
 
     Same cell pipeline as ``run_robustness`` but the anomaly is the size-c
     rendering for each multiplier in ``cs`` and sigma stays fixed. Returns
-    {c: ErrorBand} (or per-replicate lists).
+    {c: ErrorBand}.
     """
     cs = [int(c) for c in cs]
     if not cs:
         raise ValueError("empty multiplier grid")
     cells = [(c, make_scaled_anomaly(kind, c), sigma, c) for c in cs]
-    return _sweep(
-        cells, CONSISTENCY_TAG, seed, w0, n_ooc, mode, replicates, workers, per_replicate
-    )
+    return _sweep(cells, CONSISTENCY_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
 
 def exact_moments(anomaly, sigma: float) -> SignalMoments:
@@ -473,10 +450,10 @@ def verify_bias_theorem(
     p1, p2 = a.shape
     gaps = []
     if sigma > 0:
-        spec = NoiseSpec(sigma, seed)
+        noise = _cell_noise(NoiseSpec(sigma, seed), (BIAS_CHECK_TAG,), range(reps))
+        e = np.empty((p1, p2))
         for rep in range(reps):
-            e = sample_noise(p1, p2, spec, BIAS_CHECK_TAG, rep)
-            gaps.append(hoyer_index(a + e) - h_a)
+            gaps.append(hoyer_index(a + noise(e, rep)) - h_a)
     else:
         gaps = [0.0] * reps
     empirical = float(np.mean(gaps))
@@ -512,16 +489,16 @@ def verify_noise_sparsity_decay(
     raw ratio hovers on both sides of 1 and clipping would zero the median.
     Sizes are totals (factored near-square) or explicit (p1, p2) pairs.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     rows = []
     for size in sizes:
         p1, p2 = (size if isinstance(size, tuple) else near_square_dims(int(size)))
         n = p1 * p2
         scale = math.sqrt(n / math.log(math.log(n)))
-        spec = NoiseSpec(sigma, seed)
-        gaps = []
-        for rep in range(reps):
-            e = sample_noise(p1, p2, spec, DECAY_CHECK_TAG, n, rep)
-            gaps.append(1.0 - hoyer_index(e, clip=False))
+        noise = _cell_noise(NoiseSpec(sigma, seed), (DECAY_CHECK_TAG, n), range(reps))
+        e = np.empty((p1, p2))
+        gaps = [1.0 - hoyer_index(noise(e, rep), clip=False) for rep in range(reps)]
         med = float(np.median(gaps))
         rows.append(
             {
@@ -549,14 +526,13 @@ def verify_noise_domination(
     predicts index(A) plus nearly its full possible bias, which lands above
     ``threshold`` for the default pattern and noise level.
     """
-    base = make_dense_anomaly(100, 200) if kind == "dense" else make_sparse_anomaly(100, 200)
-    a = np.tile(base, (2, 1))
-    spec = NoiseSpec(sigma, seed)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    a = np.tile(_fixed_anomaly(kind, 100, 200), (2, 1))
     predicted = hoyer_index(a) + noise_bias(exact_moments(a, sigma))
-    values = []
-    for rep in range(reps):
-        e = sample_noise(a.shape[0], a.shape[1], spec, DOMINATION_CHECK_TAG, rep)
-        values.append(hoyer_index(a + e))
+    noise = _cell_noise(NoiseSpec(sigma, seed), (DOMINATION_CHECK_TAG,), range(reps))
+    e = np.empty(a.shape)
+    values = [hoyer_index(a + noise(e, rep)) for rep in range(reps)]
     return {
         "dims": a.shape,
         "sigma": sigma,

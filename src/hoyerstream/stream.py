@@ -174,17 +174,6 @@ def residual(x, baseline: BaselineModel) -> np.ndarray:
     return m - baseline.mu0_hat
 
 
-def windowed_index(frames, baseline: BaselineModel, w: int | None = None) -> float:
-    """Raw index of the average of ``w`` residual frames.
-
-    No bias correction is applied; averaging w independent frames already
-    divides the effective noise variance by w, so the raw index converges to
-    the shift's index as the window grows. This is ``windowed_reading``'s
-    ``h_raw``; use that for the corrected read of the same average.
-    """
-    return windowed_reading(frames, baseline, w=w).h_raw
-
-
 def _reading_from_residual(
     r: np.ndarray, sigma2_hat: float, mode: str, t: int
 ) -> SparsityReading:
@@ -221,6 +210,8 @@ def windowed_reading(
 
     The average of w independent noise frames has entry variance sigma2/w,
     so that is the variance fed to the moment estimate and bias correction.
+    Even uncorrected, the reading's ``h_raw`` converges to the shift's index
+    as the window grows.
     """
     mats = _checked_frames(frames, w)
     total = next(mats).copy()

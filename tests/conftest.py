@@ -22,16 +22,6 @@ def hoyer_oracle(matrix) -> float:
     return (math.sqrt(n) - abs(total) / math.sqrt(square)) / (math.sqrt(n) - 1.0)
 
 
-def gini_oracle(matrix) -> float:
-    """Alternative Gini form: sum((2k - n - 1) |x|_(k)) / (n * sum|x|)."""
-    mags = sorted(abs(float(v)) for row in np.asarray(matrix) for v in row)
-    n = len(mags)
-    total = math.fsum(mags)
-    if total == 0.0:
-        return 1.0
-    return math.fsum((2 * k - n - 1) * m for k, m in enumerate(mags, start=1)) / (n * total)
-
-
 def bias_oracle(a_bar: float, a2_bar: float, sigma2: float) -> float:
     """Direct ratio form of the noise-bias expression."""
     if sigma2 == 0.0 or a_bar == 0.0:

@@ -25,7 +25,7 @@ from hoyerstream import (
     verify_bias_theorem,
     verify_noise_domination,
     verify_noise_sparsity_decay,
-    windowed_index,
+    windowed_reading,
 )
 from hoyerstream.cli import main
 from hoyerstream.frameio import write_pgm
@@ -148,7 +148,7 @@ def test_c07_window_averaging_converges():
                 frames = simulate_residual_stream(
                     anomaly, NoiseSpec(sigma, SEED + rep), n_ic=1, n_ooc=w
                 )[1:]
-                errs.append(abs(windowed_index(frames, baseline) - h_true))
+                errs.append(abs(windowed_reading(frames, baseline).h_raw - h_true))
             medians.append(float(np.median(errs)))
         assert medians[0] > medians[1] > medians[2], (kind, medians)
         lines.append(f"{kind} " + "->".join(f"{m:.4f}" for m in medians))

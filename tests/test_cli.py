@@ -100,11 +100,19 @@ class TestSimulate:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "bad", [["--replicates", "0"], ["--replicates", "-2"], ["--workers", "-1"]]
+        "bad",
+        [
+            ["--replicates", "0"], ["--replicates", "-2"], ["--workers", "-1"],
+            ["--n-ooc", "1"], ["--n-ooc", "0"], ["--w0", "1"],
+        ],
     )
     def test_bad_count_exit_2_and_no_report(self, in_tmp, capsys, bad):
+        # Refused before any cell runs, with a message that names the count.
         assert self.run(*bad) == 2
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert bad[0].lstrip("-").replace("-", "_") in captured.err
+        assert captured.out == ""
         assert not (in_tmp / "report.json").exists()
         assert not (in_tmp / "report.csv").exists()
 
@@ -286,6 +294,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "n=" in out
+
+    @pytest.mark.parametrize("check, reps", [("lemma2", "0"), ("corollary1", "0"), ("theorem1", "1")])
+    def test_too_few_reps_exit_2_and_no_report(self, in_tmp, capsys, check, reps):
+        assert main(["verify", check, "--reps", reps, "--out", "v.json"]) == 2
+        captured = capsys.readouterr()
+        assert "error: reps must be >=" in captured.err
+        assert captured.out == ""
+        assert not (in_tmp / "v.json").exists()
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -14,7 +14,6 @@ from hoyerstream import (
     SignalMoments,
     corrected_hoyer,
     estimate_moments,
-    gini_index,
     hoyer_index,
     make_dense_anomaly,
     make_sparse_anomaly,
@@ -23,7 +22,7 @@ from hoyerstream import (
 )
 from hoyerstream.indices import moment_floor
 
-from conftest import bias_oracle, gini_oracle, hoyer_oracle
+from conftest import bias_oracle, hoyer_oracle
 
 # Frozen from the brute-force fsum oracle (see conftest.hoyer_oracle).
 DENSE_H = 0.19962785637227268
@@ -122,30 +121,6 @@ class TestHoyer:
         h = hoyer_index(e, clip=False)
         assert hoyer_index(1.7e3 * e, clip=False) == pytest.approx(h, rel=1e-12)
         assert hoyer_index(2.0 * e, clip=False) == h  # power-of-2 scaling is exact
-
-
-class TestGini:
-    def test_constant_is_zero(self):
-        assert abs(gini_index(np.full((6, 6), 2.5))) < 1e-12
-
-    def test_single_nonzero(self):
-        x = np.zeros((10, 10))
-        x[0, 0] = 7.0
-        expected = gini_oracle(x)
-        assert expected == pytest.approx(0.99, abs=1e-15)
-        assert gini_index(x) == pytest.approx(expected, abs=1e-12)
-
-    def test_matches_oracle_on_random(self, rng):
-        x = rng.standard_normal((9, 14))
-        assert gini_index(x) == pytest.approx(gini_oracle(x), abs=1e-12)
-
-    def test_all_zero_convention(self):
-        assert gini_index(np.zeros((3, 3))) == 1.0
-
-    @given(finite_matrices, st.sampled_from([0.25, 2.0, -3.0, 1e4]))
-    @settings(max_examples=100, deadline=None)
-    def test_scale_invariance(self, x, c):
-        assert gini_index(c * x) == pytest.approx(gini_index(x), rel=1e-9, abs=1e-9)
 
 
 class TestNoiseBias:

@@ -10,29 +10,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoyerstream import (
-    AnomalySpec,
     ErrorBand,
     NoiseSpec,
-    error_band,
     fit_baseline,
     corrected_reading,
     hoyer_index,
     make_dense_anomaly,
     make_scaled_anomaly,
     make_sparse_anomaly,
-    near_square_dims,
     run_consistency,
     run_robustness,
     sample_noise,
     simulate_residual_stream,
-    stream_frame_noise,
-    subseed,
-    float_key,
     verify_bias_theorem,
     verify_noise_domination,
     verify_noise_sparsity_decay,
 )
-from hoyerstream.simulate import ROBUSTNESS_TAG, _cell_noise, _philox_keys, noise_generator
+from hoyerstream.simulate import (
+    ROBUSTNESS_TAG,
+    STREAM_FRAME_TAG,
+    _cell_band,
+    _cell_noise,
+    _philox_keys,
+    error_band,
+    float_key,
+    near_square_dims,
+    stream_frame_noise,
+    subseed,
+)
 
 from conftest import hoyer_oracle, welford_oracle, bias_oracle
 
@@ -79,18 +84,12 @@ class TestAnomalyFactories:
                 make_scaled_anomaly("dense", c)
 
     def test_anomaly_spec(self):
-        assert np.array_equal(
-            AnomalySpec("dense", p1=10, p2=20).build(), make_dense_anomaly(10, 20)
-        )
-        assert np.array_equal(
-            AnomalySpec("sparse", c=20).build(), make_scaled_anomaly("sparse", 20)
-        )
-        with pytest.raises(ValueError):
-            AnomalySpec("dense")
-        with pytest.raises(ValueError):
-            AnomalySpec("dense", p1=10, p2=20, c=10)
-        with pytest.raises(ValueError):
-            AnomalySpec("blobby", p1=10, p2=20)
+        # A sweep names its anomaly by kind; any other kind is refused
+        # before a cell runs.
+        with pytest.raises(ValueError, match="kind must be"):
+            run_robustness([1.0], "blobby", 0)
+        with pytest.raises(ValueError, match="kind must be"):
+            run_consistency([10], "blobby", 0)
 
 
 class TestSampleNoise:
@@ -128,6 +127,12 @@ def _seed_sequence_key(seed, key):
     return np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(2, np.uint64)
 
 
+def _reference_noise(shape, spec, key):
+    """Noise at ``key`` from a fresh NumPy generator, built here, not by the package."""
+    ss = np.random.SeedSequence(spec.seed, spawn_key=tuple(key))
+    return spec.sigma * np.random.Generator(np.random.Philox(ss)).standard_normal(shape)
+
+
 _key_elements = st.one_of(
     st.integers(0, 2**32 - 1),
     st.integers(2**32, 2**64 - 1),
@@ -161,7 +166,7 @@ class TestKeyDerivation:
         assert subseed(seed, 1, 2) == int(ss.generate_state(1, np.uint64)[0])
         reference = np.random.Generator(np.random.Philox(ss))
         assert np.array_equal(
-            noise_generator(seed, 1, 2).standard_normal(9), reference.standard_normal(9)
+            sample_noise(3, 3, NoiseSpec(1.0, seed), 1, 2), reference.standard_normal((3, 3))
         )
 
     def test_negative_seed_or_key_rejected(self):
@@ -174,16 +179,16 @@ class TestKeyDerivation:
         with pytest.raises(ValueError):
             subseed(-5, 0)
         with pytest.raises(ValueError):
-            noise_generator(3, 0, -1)
+            sample_noise(2, 2, NoiseSpec(1.0, 3), 0, -1)
 
     def test_cell_generator_resets_buffer_between_frames(self):
         # Frames of odd entry counts leave Philox's 4-word buffer part-used;
         # each frame must still draw as a fresh generator at its key does.
         spec = NoiseSpec(1.0, 21)
-        fill = _cell_noise(spec, 3)
-        for k, (p1, p2) in enumerate([(1, 3), (3, 5), (7, 1)]):
-            frame = fill(np.empty((p1, p2)), k)
-            assert np.array_equal(frame, stream_frame_noise(p1, p2, spec, k)), k
+        fill = _cell_noise(spec, (STREAM_FRAME_TAG,), range(3))
+        for k, shape in enumerate([(1, 3), (3, 5), (7, 1)]):
+            frame = fill(np.empty(shape), k)
+            assert np.array_equal(frame, _reference_noise(shape, spec, (0, k))), k
 
     def test_constant_generator_constructions_per_cell(self, monkeypatch):
         # A cell builds its generator once, not once per frame: the counts
@@ -208,6 +213,18 @@ class TestKeyDerivation:
         assert constructions(n_ooc=40) == per_cell
         assert constructions(replicates=2) == {k: 2 * v for k, v in per_cell.items()}
 
+        # Each verifier loop builds one generator, however many replicates.
+        verifiers = [
+            lambda reps: verify_bias_theorem(1.0, 1.0, dims=(10, 20), reps=reps),
+            lambda reps: verify_noise_sparsity_decay([200], reps=reps),
+            lambda reps: verify_noise_domination(reps=reps),
+        ]
+        for verify in verifiers:
+            for reps in (2, 7):
+                counts.clear()
+                verify(reps)
+                assert dict(counts) == {"Philox": 1, "Generator": 1}, (reps, dict(counts))
+
 
 class TestResidualStream:
     def test_shape_and_change_point(self):
@@ -226,8 +243,9 @@ class TestResidualStream:
         frames = simulate_residual_stream(a, spec, n_ic=200, n_ooc=200)
         assert frames.shape == (400, 100, 200)
         # replaying the per-position noise reproduces each frame exactly
-        assert np.array_equal(frames[13], stream_frame_noise(100, 200, spec, 13))
-        assert np.array_equal(frames[250], stream_frame_noise(100, 200, spec, 250) + a)
+        assert np.array_equal(frames[13], _reference_noise((100, 200), spec, (0, 13)))
+        assert np.array_equal(frames[250], _reference_noise((100, 200), spec, (0, 250)) + a)
+        assert np.array_equal(stream_frame_noise(100, 200, spec, 13), frames[13])
 
     def test_in_control_frames_read_sparse(self):
         for seed in range(20):
@@ -303,13 +321,20 @@ class TestSweepDrivers:
         assert table[0.5].m_eps < 0.02
 
     def test_replicate_aggregation_and_detail(self):
-        table = run_robustness(
-            [2.0], "dense", 3, w0=20, n_ooc=10, replicates=3, per_replicate=True
-        )
-        bands = table[2.0]
-        assert len(bands) == 3
-        agg = run_robustness([2.0], "dense", 3, w0=20, n_ooc=10, replicates=3)
-        assert agg[2.0].m_eps == float(np.median([b.m_eps for b in bands]))
+        # Each replicate is one cell at its own documented seed; the sweep
+        # reports the per-field median of their bands.
+        a = make_dense_anomaly(100, 200)
+        bands = [
+            _cell_band(
+                a, hoyer_index(a), 2.0, subseed(3, ROBUSTNESS_TAG, float_key(2.0), rep),
+                20, 10, "debias",
+            )
+            for rep in range(3)
+        ]
+        assert len({b.m_eps for b in bands}) == 3
+        agg = run_robustness([2.0], "dense", 3, w0=20, n_ooc=10, replicates=3)[2.0]
+        assert agg.m_eps == float(np.median([b.m_eps for b in bands]))
+        assert agg.sigma_eps == float(np.median([b.sigma_eps for b in bands]))
 
     def test_cell_memory_does_not_grow_with_the_stream(self):
         # A cell holds its baseline block and the frame being read, not the

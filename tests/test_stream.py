@@ -24,7 +24,6 @@ from hoyerstream import (
     residual,
     sample_noise,
     simulate_residual_stream,
-    windowed_index,
     windowed_reading,
 )
 
@@ -228,16 +227,18 @@ class TestResidual:
 
 
 class TestWindowedIndex:
+    """The raw index of a window average: ``windowed_reading``'s ``h_raw``."""
+
     def test_single_noise_free_frame(self):
         a = make_sparse_anomaly(100, 200)
         mu = np.full((100, 200), 4.0)
         b = fit_baseline([mu.copy() for _ in range(2)])
-        assert windowed_index([mu + a], b) == hoyer_index(a)
+        assert windowed_reading([mu + a], b).h_raw == hoyer_index(a)
 
     def test_frames_equal_to_mean_read_blank(self):
         mu = np.full((3, 4), 1.25)
         b = fit_baseline([mu.copy() for _ in range(2)])
-        assert windowed_index([mu.copy(), mu.copy()], b) == 1.0
+        assert windowed_reading([mu.copy(), mu.copy()], b).h_raw == 1.0
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_error_decreases_with_window(self, kind):
@@ -255,14 +256,14 @@ class TestWindowedIndex:
                 frames = simulate_residual_stream(
                     a, NoiseSpec(2.0, 1000 + seed), n_ic=1, n_ooc=w
                 )[1:]
-                errs.append(abs(windowed_index(frames, b) - h_true))
+                errs.append(abs(windowed_reading(frames, b).h_raw - h_true))
             medians.append(float(np.median(errs)))
         assert all(m2 < m1 for m1, m2 in zip(medians, medians[1:])), medians
 
     def test_empty_window(self):
         b = fit_baseline([np.zeros((2, 2))] * 2)
         with pytest.raises(DimensionError):
-            windowed_index([], b)
+            windowed_reading([], b)
 
 
 class TestCorrectedReading:
