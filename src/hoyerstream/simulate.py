@@ -15,12 +15,22 @@ threads without affecting results.
 
 Philox is counter-based, so a draw's noise is fixed by its 128-bit key
 alone. ``_cell_noise`` is the one place a generator is built: it derives the
-keys of a batch of sub-streams (a cell's frames, a verifier's replicates) in
+keys of a batch of sub-streams (a cell's draws, a verifier's replicates) in
 one vectorized pass (``_philox_keys``, SeedSequence's own hash mixing on
 uint32 arrays) and builds one Philox, which it resets to each key with its
 counter and buffer cleared; ``sample_noise`` is its one-draw use. The
 derivation is SeedSequence's, so every draw has the bits a fresh generator
 seeded by ``SeedSequence`` would give it.
+
+A cell with baseline window w0 reads the stream frames at positions
+w0 .. w0 + n_ooc - 1, keyed ``(STREAM_FRAME_TAG, position)`` as in
+``simulate_residual_stream``. It never makes the w0 in-control frames: the
+noise is iid N(0, sigma^2), so the baseline fitted on them has a known law,
+and the cell draws it from that law (``_cell_baseline``). ``mu0_hat`` is the
+noise frame keyed ``(CELL_BASELINE_TAG, 0)`` over sqrt(w0), and
+``sigma2_hat`` is sigma^2 / (n·(w0 - 1)) times the chi-square draw
+(``Generator.chisquare``, twice a standard gamma) keyed
+``(CELL_BASELINE_TAG, 1)`` with n·(w0 - 1) degrees of freedom, n = p1·p2.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import numpy as np
 
 from .indices import SignalMoments, as_image_matrix, hoyer_index, noise_bias
 from .kernels import matrix_stats
-from .stream import fit_baseline, monitor_series
+from .stream import BaselineModel, monitor_series
 
 # Domain tags keep sub-streams of different uses disjoint. Part of the
 # reproducibility contract: cell seed = subseed(master, tag, value_key,
@@ -44,6 +54,7 @@ CONSISTENCY_TAG = 2
 BIAS_CHECK_TAG = 3
 DECAY_CHECK_TAG = 4
 DOMINATION_CHECK_TAG = 5
+CELL_BASELINE_TAG = 6
 
 _MAX_SEED = 2**64
 
@@ -183,38 +194,57 @@ def float_key(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
-def _cell_noise(spec: NoiseSpec, prefix, positions=None):
-    """Return ``fill(out, i)``, which writes the N(0, sigma^2) noise of the
-    sub-stream keyed ``(*prefix, positions[i])`` into ``out``; with
-    ``positions`` None there is one sub-stream, keyed ``prefix``, at i = 0.
+class _KeyedDraws:
+    """Draws from a batch of keyed sub-streams through one Philox.
 
-    All keys are derived at once, and one Philox serves every draw: before
-    each draw it is given the draw's key with a zero counter, an empty
-    buffer and no spare 32-bit word, the state a fresh generator starts in.
-    Clearing the buffer matters: 64-bit draws are served from Philox's
-    4-word buffer, so a stale one would shift the next draw. The generator
-    is the caller's alone; it is never shared between threads.
+    ``draws(out, i)`` writes the N(0, sigma^2) noise of sub-stream i into
+    ``out``; ``draws.chisquare(df, i)`` is sub-stream i's one chi-square
+    variate. Before each draw the generator is given the draw's key with a
+    zero counter, an empty buffer and no spare 32-bit word, the state a
+    fresh generator starts in. Clearing the buffer matters: 64-bit draws are
+    served from Philox's 4-word buffer, so a stale one would shift the next
+    draw. The generator is the caller's alone; it is never shared between
+    threads.
     """
-    keys = _philox_keys(spec.seed, prefix, positions)
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state
 
-    def fill(out: np.ndarray, i: int) -> np.ndarray:
-        fresh["state"]["key"] = keys[i]
-        bitgen.state = fresh
-        gen.standard_normal(out=out)
-        out *= spec.sigma
+    def __init__(self, sigma: float, keys: np.ndarray):
+        self.sigma = sigma
+        self._keys = keys
+        self._bitgen = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state
+
+    def _at(self, i: int) -> np.random.Generator:
+        self._fresh["state"]["key"] = self._keys[i]
+        self._bitgen.state = self._fresh
+        return self._gen
+
+    def __call__(self, out: np.ndarray, i: int) -> np.ndarray:
+        self._at(i).standard_normal(out=out)
+        out *= self.sigma
         return out
 
-    return fill
+    def chisquare(self, df: float, i: int) -> float:
+        return float(self._at(i).chisquare(df))
+
+
+def _cell_noise(spec: NoiseSpec, *streams) -> _KeyedDraws:
+    """The draws of every sub-stream of ``streams``, numbered in order.
+
+    Each stream is a ``(prefix, positions)`` pair: the sub-streams keyed
+    ``(*prefix, p)`` for p in ``positions``, or with ``positions`` None the
+    one sub-stream keyed ``prefix``. All keys are derived at once, and one
+    Philox serves every draw.
+    """
+    keys = [_philox_keys(spec.seed, prefix, positions) for prefix, positions in streams]
+    return _KeyedDraws(spec.sigma, np.concatenate(keys))
 
 
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 matrix of iid N(0, sigma^2) entries; same inputs, same bits."""
     if p1 < 1 or p2 < 1:
         raise ValueError(f"dims must be positive, got ({p1}, {p2})")
-    return _cell_noise(spec, key)(np.empty((p1, p2)), 0)
+    return _cell_noise(spec, (key, None))(np.empty((p1, p2)), 0)
 
 
 def make_dense_anomaly(p1: int, p2: int) -> np.ndarray:
@@ -274,13 +304,11 @@ def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.n
     return sample_noise(p1, p2, spec, STREAM_FRAME_TAG, position)
 
 
-def _stream_frames(a: np.ndarray, spec: NoiseSpec, n_ic: int, n: int, out=None):
-    """Yield the frames at positions 0 .. n-1 of a residual stream, one at a
-    time: the noise of ``stream_frame_noise``, plus ``a`` from position
-    ``n_ic`` on. Frame k is written into ``out[k]`` if ``out`` is given,
-    else into a new array.
+def _stream_frames(a: np.ndarray, noise: _KeyedDraws, n_ic: int, n: int, out=None):
+    """Yield n frames of a residual stream, one at a time: frame k is the
+    noise of draw k, plus ``a`` from k = ``n_ic`` on. Frame k is written into
+    ``out[k]`` if ``out`` is given, else into a new array.
     """
-    noise = _cell_noise(spec, (STREAM_FRAME_TAG,), range(n))
     for k in range(n):
         frame = noise(np.empty(a.shape) if out is None else out[k], k)
         if k >= n_ic:
@@ -300,8 +328,10 @@ def simulate_residual_stream(
     a = as_image_matrix(anomaly)
     if n_ic < 1 or n_ooc < 1:
         raise ValueError(f"n_ic and n_ooc must be >= 1, got ({n_ic}, {n_ooc})")
-    frames = np.empty((n_ic + n_ooc,) + a.shape)
-    for _ in _stream_frames(a, spec, n_ic, n_ic + n_ooc, out=frames):
+    n = n_ic + n_ooc
+    frames = np.empty((n,) + a.shape)
+    noise = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(n)))
+    for _ in _stream_frames(a, noise, n_ic, n, out=frames):
         pass
     return frames
 
@@ -314,15 +344,38 @@ def error_band(errors) -> ErrorBand:
     return ErrorBand(m_eps=float(np.mean(e)), sigma_eps=float(np.std(e, ddof=1)))
 
 
-def _cell_band(anomaly, h_true, sigma, cell_seed, w0, n_ooc, mode) -> ErrorBand:
-    """One experiment cell: simulate, fit the baseline on the in-control
-    frames, read every out-of-control frame, and band the absolute errors.
+def _cell_baseline(draws: _KeyedDraws, shape, w0: int, i: int) -> BaselineModel:
+    """The baseline ``fit_baseline`` fits on ``w0`` frames of iid
+    N(0, sigma^2) noise, drawn from its exact law with draws i and i + 1.
 
-    The frames are those of ``simulate_residual_stream``, made one at a
-    time, so a cell holds a few frames, however large ``w0`` and ``n_ooc``.
+    Per pixel, the mean of w0 such frames is N(0, sigma^2 / w0): one noise
+    frame (draw i) over sqrt(w0). The pooled sum of squared deviations over
+    sigma^2 is chi-square with n·(w0 - 1) degrees of freedom, n = p1·p2
+    (draw i + 1), and it is independent of the means (Cochran, 1934).
     """
-    frames = _stream_frames(anomaly, NoiseSpec(sigma, cell_seed), w0, w0 + n_ooc)
-    baseline = fit_baseline(frames, w0)
+    df = shape[0] * shape[1] * (w0 - 1)
+    mu0_hat = draws(np.empty(shape), i)
+    mu0_hat /= math.sqrt(w0)
+    sigma2_hat = draws.sigma**2 * draws.chisquare(df, i + 1) / df
+    return BaselineModel(mu0_hat=mu0_hat, sigma2_hat=sigma2_hat, w0=w0)
+
+
+def _cell_band(anomaly, h_true, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
+    """One experiment cell: a baseline for ``w0`` in-control frames, every
+    one of ``n_ooc`` shifted frames read against it, and the band of the
+    absolute errors.
+
+    The shifted frames are those at positions w0 .. w0 + n_ooc - 1 of
+    ``simulate_residual_stream``, made one at a time. The in-control frames
+    are never made: their baseline is drawn from its exact law
+    (``_cell_baseline``). So a cell draws n_ooc + 1 noise frames and holds
+    a few, whatever ``w0`` is.
+    """
+    draws = _cell_noise(
+        spec, ((STREAM_FRAME_TAG,), range(w0, w0 + n_ooc)), ((CELL_BASELINE_TAG,), range(2))
+    )
+    baseline = _cell_baseline(draws, anomaly.shape, w0, n_ooc)
+    frames = _stream_frames(anomaly, draws, 0, n_ooc)
     readings = monitor_series(frames, baseline, range(n_ooc), mode=mode, t_offset=1)
     return error_band([abs(r.g - h_true) for r in readings])
 
@@ -339,6 +392,8 @@ def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
 def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers):
     """Band every ``(value, anomaly, sigma, key)`` cell once per replicate,
     seeded ``subseed(seed, tag, key, rep)``, and table the bands by value.
+    Every job's ``NoiseSpec`` is built before any cell runs, so a bad sigma
+    or seed fails the sweep up front.
 
     Cells are independent, so with ``workers`` > 1 they run on that many
     threads without changing any value.
@@ -349,11 +404,14 @@ def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers):
         raise ValueError(f"w0 must be >= 2, got {w0}")
     if n_ooc < 2:
         raise ValueError(f"n_ooc must be >= 2, got {n_ooc}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     jobs = []
     for _, anomaly, sigma, key in cells:
         h_true = hoyer_index(anomaly)
         jobs += [
-            (anomaly, h_true, sigma, subseed(seed, tag, key, rep)) for rep in range(replicates)
+            (anomaly, h_true, NoiseSpec(sigma, subseed(seed, tag, key, rep)))
+            for rep in range(replicates)
         ]
 
     def run(job):
@@ -383,16 +441,18 @@ def run_robustness(
 ):
     """Error bands of the corrected index across noise levels, fixed dims.
 
-    For each sigma: simulate a stream of ``w0`` in-control and ``n_ooc``
-    shifted frames at ``dims``, fit the baseline on the in-control part, read
-    every shifted frame, and band the absolute errors against the anomaly's
-    true index. Returns {sigma: ErrorBand}; with ``replicates`` > 1 each
+    For each sigma: take the baseline of ``w0`` in-control frames at
+    ``dims`` (drawn from its exact law, see ``_cell_band``), read each of
+    ``n_ooc`` shifted frames against it, and band the absolute errors
+    against the anomaly's true index. Returns {sigma: ErrorBand}; with ``replicates`` > 1 each
     entry is the per-field median over replicate bands. Cells may be fanned
     out over ``workers`` threads without changing any value.
     """
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("empty sigma grid")
+    if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
+        raise ValueError(f"sigmas must be finite and > 0, got {sigmas}")
     anomaly = _fixed_anomaly(kind, *dims)
     cells = [(s, anomaly, s, float_key(s)) for s in sigmas]
     return _sweep(cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
@@ -450,7 +510,7 @@ def verify_bias_theorem(
     p1, p2 = a.shape
     gaps = []
     if sigma > 0:
-        noise = _cell_noise(NoiseSpec(sigma, seed), (BIAS_CHECK_TAG,), range(reps))
+        noise = _cell_noise(NoiseSpec(sigma, seed), ((BIAS_CHECK_TAG,), range(reps)))
         e = np.empty((p1, p2))
         for rep in range(reps):
             gaps.append(hoyer_index(a + noise(e, rep)) - h_a)
@@ -496,7 +556,7 @@ def verify_noise_sparsity_decay(
         p1, p2 = (size if isinstance(size, tuple) else near_square_dims(int(size)))
         n = p1 * p2
         scale = math.sqrt(n / math.log(math.log(n)))
-        noise = _cell_noise(NoiseSpec(sigma, seed), (DECAY_CHECK_TAG, n), range(reps))
+        noise = _cell_noise(NoiseSpec(sigma, seed), ((DECAY_CHECK_TAG, n), range(reps)))
         e = np.empty((p1, p2))
         gaps = [1.0 - hoyer_index(noise(e, rep), clip=False) for rep in range(reps)]
         med = float(np.median(gaps))
@@ -530,7 +590,7 @@ def verify_noise_domination(
         raise ValueError(f"reps must be >= 1, got {reps}")
     a = np.tile(_fixed_anomaly(kind, 100, 200), (2, 1))
     predicted = hoyer_index(a) + noise_bias(exact_moments(a, sigma))
-    noise = _cell_noise(NoiseSpec(sigma, seed), (DOMINATION_CHECK_TAG,), range(reps))
+    noise = _cell_noise(NoiseSpec(sigma, seed), ((DOMINATION_CHECK_TAG,), range(reps)))
     e = np.empty(a.shape)
     values = [hoyer_index(a + noise(e, rep)) for rep in range(reps)]
     return {

@@ -104,10 +104,12 @@ class TestSimulate:
         [
             ["--replicates", "0"], ["--replicates", "-2"], ["--workers", "-1"],
             ["--n-ooc", "1"], ["--n-ooc", "0"], ["--w0", "1"],
+            ["--sigmas", "0.5", "0.0"], ["--sigmas", "0.5", "nan"], ["--seed", "-1"],
         ],
     )
     def test_bad_count_exit_2_and_no_report(self, in_tmp, capsys, bad):
-        # Refused before any cell runs, with a message that names the count.
+        # Refused before any cell runs, with a message that names the
+        # parameter.
         assert self.run(*bad) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hoyerstream.simulate as simulate
 from hoyerstream import (
+    BaselineModel,
     ErrorBand,
     NoiseSpec,
     fit_baseline,
@@ -27,9 +29,11 @@ from hoyerstream import (
     verify_noise_sparsity_decay,
 )
 from hoyerstream.simulate import (
+    CELL_BASELINE_TAG,
     ROBUSTNESS_TAG,
     STREAM_FRAME_TAG,
     _cell_band,
+    _cell_baseline,
     _cell_noise,
     _philox_keys,
     error_band,
@@ -185,7 +189,7 @@ class TestKeyDerivation:
         # Frames of odd entry counts leave Philox's 4-word buffer part-used;
         # each frame must still draw as a fresh generator at its key does.
         spec = NoiseSpec(1.0, 21)
-        fill = _cell_noise(spec, (STREAM_FRAME_TAG,), range(3))
+        fill = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(3)))
         for k, shape in enumerate([(1, 3), (3, 5), (7, 1)]):
             frame = fill(np.empty(shape), k)
             assert np.array_equal(frame, _reference_noise(shape, spec, (0, k))), k
@@ -224,6 +228,80 @@ class TestKeyDerivation:
                 counts.clear()
                 verify(reps)
                 assert dict(counts) == {"Philox": 1, "Generator": 1}, (reps, dict(counts))
+
+
+class _CountingDraws:
+    """Passes a cell's draws through, counting noise frames and chi-squares."""
+
+    def __init__(self, draws):
+        self.draws, self.sigma = draws, draws.sigma
+        self.frames = self.chisquares = 0
+
+    def __call__(self, out, i):
+        self.frames += 1
+        return self.draws(out, i)
+
+    def chisquare(self, df, i):
+        self.chisquares += 1
+        return self.draws.chisquare(df, i)
+
+
+# Median of means: split the samples into _BLOCKS blocks of m and take the
+# median of the block means. By Chebyshev a block mean misses its target by
+# more than 2·sd/sqrt(m) with probability at most 1/4, and the median misses
+# only if at least 61 of the 121 blocks do: P(Bin(121, 1/4) >= 61) < 1.7e-9.
+_BLOCKS = 121
+
+
+def _median_of_means_misses(values, target, sd):
+    """Per column of ``values``, whether the median of means misses
+    ``target`` by more than 2·sd/sqrt(m), sd being one value's true sd."""
+    m = len(values) // _BLOCKS
+    means = values[: _BLOCKS * m].reshape(_BLOCKS, m, -1).mean(axis=1)
+    return np.abs(np.median(means, axis=0) - target) > 2.0 * sd / math.sqrt(m)
+
+
+class TestCellBaseline:
+    """A cell's baseline is drawn from the law of ``fit_baseline`` on w0
+    frames of iid N(0, sigma^2) noise: per pixel mu0_hat ~ N(0, sigma^2/w0),
+    and sigma2_hat = sigma^2·X/df with X ~ chi-square(df), df = n·(w0 - 1)."""
+
+    @pytest.mark.parametrize("shape, w0", [((2, 3), 2), ((2, 3), 3), ((3, 4), 2)])
+    def test_first_two_moments_match_the_law_and_fit_baseline(self, shape, w0):
+        # Each case runs 2·(2 + 2n) median-of-means checks, 108 over the
+        # three cases, so the test fails falsely with probability below
+        # 108 · 1.7e-9 < 2e-7.
+        sigma = 1.5
+        spec = NoiseSpec(sigma, 2024)
+        df = shape[0] * shape[1] * (w0 - 1)
+        cells = _BLOCKS * 200
+        draws = _cell_noise(spec, ((CELL_BASELINE_TAG,), range(2 * cells)))
+        drawn = [_cell_baseline(draws, shape, w0, 2 * j) for j in range(cells)]
+        cells = _BLOCKS * 40
+        noise = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(w0 * cells)))
+        fitted = [
+            fit_baseline(noise(np.empty(shape), w0 * j + k) for k in range(w0))
+            for j in range(cells)
+        ]
+        for name, baselines in (("drawn", drawn), ("fit_baseline", fitted)):
+            s2 = np.array([b.sigma2_hat for b in baselines])
+            mu = np.array([b.mu0_hat.ravel() for b in baselines])
+            checks = {
+                "sigma2_hat mean": (s2, sigma**2, sigma**2 * math.sqrt(2 / df)),
+                "sigma2_hat variance": (
+                    (s2 - sigma**2) ** 2,
+                    2 * sigma**4 / df,
+                    sigma**4 * math.sqrt(8 * df**2 + 48 * df) / df**2,
+                ),
+                "mu0_hat mean": (mu, 0.0, sigma / math.sqrt(w0)),
+                "mu0_hat variance": (mu**2, sigma**2 / w0, math.sqrt(2) * sigma**2 / w0),
+            }
+            missed = [
+                check
+                for check, (values, target, sd) in checks.items()
+                if _median_of_means_misses(values, target, sd).any()
+            ]
+            assert not missed, (name, missed)
 
 
 class TestResidualStream:
@@ -296,20 +374,43 @@ class TestErrorBand:
 class TestSweepDrivers:
     def test_robustness_composes_from_public_ops(self):
         # A one-sigma sweep must equal the same pipeline assembled by hand
-        # with the documented cell-seed derivation.
-        sigma, master = 1.5, 77
-        table = run_robustness([sigma], "dense", master, w0=50, n_ooc=40)
+        # with the documented derivations: the cell seed; the baseline's two
+        # draws, a noise frame over sqrt(w0) and a chi-square with
+        # n·(w0 - 1) degrees of freedom scaled to sigma2_hat; and the
+        # shifted frames of the public stream, read by corrected_reading.
+        sigma, master, w0, n_ooc = 1.5, 77, 50, 40
+        table = run_robustness([sigma], "dense", master, w0=w0, n_ooc=n_ooc)
         a = make_dense_anomaly(100, 200)
         h_true = hoyer_index(a)
-        cell = subseed(master, ROBUSTNESS_TAG, float_key(sigma), 0)
-        frames = simulate_residual_stream(a, NoiseSpec(sigma, cell), n_ic=50, n_ooc=40)
-        baseline = fit_baseline(frames[:50])
+        spec = NoiseSpec(sigma, subseed(master, ROBUSTNESS_TAG, float_key(sigma), 0))
+        df = a.size * (w0 - 1)
+        mu0_hat = _reference_noise(a.shape, spec, (CELL_BASELINE_TAG, 0)) / math.sqrt(w0)
+        ss = np.random.SeedSequence(spec.seed, spawn_key=(CELL_BASELINE_TAG, 1))
+        chi2 = 2.0 * np.random.Generator(np.random.Philox(ss)).standard_gamma(df / 2)
+        baseline = BaselineModel(mu0_hat=mu0_hat, sigma2_hat=sigma**2 * chi2 / df, w0=w0)
+        frames = simulate_residual_stream(a, spec, n_ic=w0, n_ooc=n_ooc)[w0:]
         errs = [
-            abs(corrected_reading(frames[50 + i], baseline, t=i + 1).g - h_true)
-            for i in range(40)
+            abs(corrected_reading(frame, baseline, t=i + 1).g - h_true)
+            for i, frame in enumerate(frames)
         ]
         manual = error_band(errs)
         assert table[sigma] == manual
+
+    def test_cell_draws_n_ooc_plus_one_noise_frames(self, monkeypatch):
+        # The baseline costs one noise frame and one chi-square draw, not
+        # w0 frames: a cell's draws do not grow with w0.
+        made = []
+        original = simulate._cell_noise
+
+        def counting(*args):
+            made.append(_CountingDraws(original(*args)))
+            return made[-1]
+
+        monkeypatch.setattr(simulate, "_cell_noise", counting)
+        for w0 in (20, 200):
+            made.clear()
+            run_robustness([1.0, 2.0], "dense", 5, w0=w0, n_ooc=10, dims=(10, 20))
+            assert [(d.frames, d.chisquares) for d in made] == [(11, 1), (11, 1)], w0
 
     def test_cells_keyed_by_value_not_position(self):
         full = run_robustness([0.5, 1.0], "sparse", 5, w0=30, n_ooc=20)
@@ -326,7 +427,7 @@ class TestSweepDrivers:
         a = make_dense_anomaly(100, 200)
         bands = [
             _cell_band(
-                a, hoyer_index(a), 2.0, subseed(3, ROBUSTNESS_TAG, float_key(2.0), rep),
+                a, hoyer_index(a), NoiseSpec(2.0, subseed(3, ROBUSTNESS_TAG, float_key(2.0), rep)),
                 20, 10, "debias",
             )
             for rep in range(3)
