@@ -111,9 +111,20 @@ def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = 
     if not math.isfinite(ss) or (ss < _TINY and m.any()):
         m = m / np.abs(m).max()
         s, ss, _ = matrix_stats(m)
+    return hoyer_from_totals(s, ss, m.size, clip=clip)
+
+
+def hoyer_from_totals(s: float, ss: float, n: int, *, clip: bool = True) -> float:
+    """Index of n >= 2 entries from their sum ``s`` and sum of squares
+    ``ss``: the one index formula, for a matrix's totals or drawn ones.
+
+    ``ss`` == 0 reads 1 (the blank-frame convention). No rescaling happens
+    here: totals whose ``ss`` over- or underflowed go through
+    ``hoyer_from_matrix_stats``, which holds the matrix.
+    """
     if ss == 0.0:
         return 1.0
-    root_n = math.sqrt(m.size)
+    root_n = math.sqrt(n)
     h = (root_n - abs(s) / math.sqrt(ss)) / (root_n - 1.0)
     if clip:
         return min(max(h, 0.0), 1.0)

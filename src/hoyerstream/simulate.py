@@ -22,20 +22,29 @@ counter and buffer cleared; ``sample_noise`` is its one-draw use. The
 derivation is SeedSequence's, so every draw has the bits a fresh generator
 seeded by ``SeedSequence`` would give it.
 
-A cell with baseline window w0 reads the stream frames at positions
-w0 .. w0 + n_ooc - 1, keyed ``(STREAM_FRAME_TAG, position)`` as in
-``simulate_residual_stream``. It never makes the w0 in-control frames: the
-noise is iid N(0, sigma^2), so the baseline fitted on them has a known law,
-and the cell draws it from that law (``_cell_baseline``). ``mu0_hat`` is the
-noise frame keyed ``(CELL_BASELINE_TAG, 0)`` over sqrt(w0), and
-``sigma2_hat`` is sigma^2 / (n·(w0 - 1)) times the chi-square draw
-(``Generator.chisquare``, twice a standard gamma) keyed
-``(CELL_BASELINE_TAG, 1)`` with n·(w0 - 1) degrees of freedom, n = p1·p2.
+A simulation cell makes no stream frames. Its noise is iid N(0, sigma^2),
+so everything it reads has a known law, and it draws from that law with
+the cell seed as master (n = p1·p2):
+
+- the baseline ``fit_baseline`` would fit on w0 in-control frames
+  (``_cell_baseline``): ``mu0_hat`` is the noise frame keyed
+  ``(CELL_BASELINE_TAG, 0)`` over sqrt(w0), and ``sigma2_hat`` is
+  sigma^2 / (n·(w0 - 1)) times the chi-square draw (``Generator.chisquare``,
+  twice a standard gamma) keyed ``(CELL_BASELINE_TAG, 1)`` with n·(w0 - 1)
+  degrees of freedom;
+- the entry sum and sum of squares of each of the n_ooc shifted residuals
+  (``_shifted_totals``), which are all a reading needs: a (2, n_ooc) block
+  of N(0, sigma^2) draws keyed ``(CELL_STATS_TAG, 0)``, row 0 then row 1,
+  and n_ooc chi-square draws with n - 2 degrees of freedom keyed
+  ``(CELL_STATS_TAG, 1)`` (none when n = 2).
+
+So a cell draws one noise frame and 3·n_ooc + 1 scalars, whatever w0 is.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,7 +52,7 @@ import numpy as np
 
 from .indices import SignalMoments, as_image_matrix, hoyer_index, noise_bias
 from .kernels import matrix_stats
-from .stream import BaselineModel, monitor_series
+from .stream import BaselineModel, _reading_from_stats
 
 # Domain tags keep sub-streams of different uses disjoint. Part of the
 # reproducibility contract: cell seed = subseed(master, tag, value_key,
@@ -55,6 +64,7 @@ BIAS_CHECK_TAG = 3
 DECAY_CHECK_TAG = 4
 DOMINATION_CHECK_TAG = 5
 CELL_BASELINE_TAG = 6
+CELL_STATS_TAG = 7
 
 _MAX_SEED = 2**64
 
@@ -198,13 +208,13 @@ class _KeyedDraws:
     """Draws from a batch of keyed sub-streams through one Philox.
 
     ``draws(out, i)`` writes the N(0, sigma^2) noise of sub-stream i into
-    ``out``; ``draws.chisquare(df, i)`` is sub-stream i's one chi-square
-    variate. Before each draw the generator is given the draw's key with a
-    zero counter, an empty buffer and no spare 32-bit word, the state a
-    fresh generator starts in. Clearing the buffer matters: 64-bit draws are
-    served from Philox's 4-word buffer, so a stale one would shift the next
-    draw. The generator is the caller's alone; it is never shared between
-    threads.
+    ``out``; ``draws.chisquare(df, i, size)`` is sub-stream i's chi-square
+    variates, one float when ``size`` is None. Before each draw the
+    generator is given the draw's key with a zero counter, an empty buffer
+    and no spare 32-bit word, the state a fresh generator starts in.
+    Clearing the buffer matters: 64-bit draws are served from Philox's
+    4-word buffer, so a stale one would shift the next draw. The generator
+    is the caller's alone; it is never shared between threads.
     """
 
     def __init__(self, sigma: float, keys: np.ndarray):
@@ -224,8 +234,9 @@ class _KeyedDraws:
         out *= self.sigma
         return out
 
-    def chisquare(self, df: float, i: int) -> float:
-        return float(self._at(i).chisquare(df))
+    def chisquare(self, df: float, i: int, size=None):
+        x = self._at(i).chisquare(df, size)
+        return float(x) if size is None else x
 
 
 def _cell_noise(spec: NoiseSpec, *streams) -> _KeyedDraws:
@@ -304,18 +315,6 @@ def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.n
     return sample_noise(p1, p2, spec, STREAM_FRAME_TAG, position)
 
 
-def _stream_frames(a: np.ndarray, noise: _KeyedDraws, n_ic: int, n: int, out=None):
-    """Yield n frames of a residual stream, one at a time: frame k is the
-    noise of draw k, plus ``a`` from k = ``n_ic`` on. Frame k is written into
-    ``out[k]`` if ``out`` is given, else into a new array.
-    """
-    for k in range(n):
-        frame = noise(np.empty(a.shape) if out is None else out[k], k)
-        if k >= n_ic:
-            frame += a
-        yield frame
-
-
 def simulate_residual_stream(
     anomaly, spec: NoiseSpec, n_ic: int, n_ooc: int
 ) -> np.ndarray:
@@ -331,8 +330,9 @@ def simulate_residual_stream(
     n = n_ic + n_ooc
     frames = np.empty((n,) + a.shape)
     noise = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(n)))
-    for _ in _stream_frames(a, noise, n_ic, n, out=frames):
-        pass
+    for k in range(n):
+        noise(frames[k], k)
+    frames[n_ic:] += a
     return frames
 
 
@@ -356,8 +356,41 @@ def _cell_baseline(draws: _KeyedDraws, shape, w0: int, i: int) -> BaselineModel:
     df = shape[0] * shape[1] * (w0 - 1)
     mu0_hat = draws(np.empty(shape), i)
     mu0_hat /= math.sqrt(w0)
-    sigma2_hat = draws.sigma**2 * draws.chisquare(df, i + 1) / df
+    sigma2_hat = draws.sigma * draws.sigma * draws.chisquare(df, i + 1) / df
     return BaselineModel(mu0_hat=mu0_hat, sigma2_hat=sigma2_hat, w0=w0)
+
+
+def _shifted_totals(draws: _KeyedDraws, b: np.ndarray, count: int, i: int):
+    """Entry sums and sums of squares of ``count`` residuals b + e, e a
+    frame of iid N(0, sigma^2) noise, drawn from their exact joint law with
+    draws i and i + 1; returns two (count,) arrays.
+
+    With n = b.size, b_bar = sum(b) / n and beta = ||b - b_bar||, rotate
+    the noise into an orthonormal basis led by 1/sqrt(n) and
+    (b - b_bar) / beta. Its coordinates stay iid N(0, sigma^2): z1, z2 on
+    the first two (draw i, a (2, count) block), and sigma^2 times a
+    chi-square with n - 2 degrees of freedom for the squared rest (draw
+    i + 1, skipped when n = 2). So, exactly, u = sqrt(n)·b_bar + z1,
+    sum = sqrt(n)·u and sum of squares = u^2 + (beta + z2)^2 + sigma^2·C.
+    beta is taken two-pass, from b - b_bar, so it does not cancel.
+
+    Raises ValueError if a drawn sum of squares is not a finite normal
+    float, which no reading could be trusted on.
+    """
+    n = b.size
+    b_bar = matrix_stats(b)[0] / n
+    beta = math.sqrt(matrix_stats(b - b_bar)[1])
+    z1, z2 = draws(np.empty((2, count)), i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = math.sqrt(n) * b_bar + z1
+        ss = u**2 + (beta + z2) ** 2
+        if n > 2:
+            ss += draws.sigma * draws.sigma * draws.chisquare(n - 2, i + 1, size=count)
+    if not (np.isfinite(ss).all() and ss.min() >= sys.float_info.min):
+        raise ValueError(
+            f"drawn sum of squares out of the normal float range: {ss.min()!r} .. {ss.max()!r}"
+        )
+    return math.sqrt(n) * u, ss
 
 
 def _cell_band(anomaly, h_true, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
@@ -365,19 +398,22 @@ def _cell_band(anomaly, h_true, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
     one of ``n_ooc`` shifted frames read against it, and the band of the
     absolute errors.
 
-    The shifted frames are those at positions w0 .. w0 + n_ooc - 1 of
-    ``simulate_residual_stream``, made one at a time. The in-control frames
-    are never made: their baseline is drawn from its exact law
-    (``_cell_baseline``). So a cell draws n_ooc + 1 noise frames and holds
-    a few, whatever ``w0`` is.
+    No frame is made but the baseline's one: the baseline is drawn from its
+    exact law (``_cell_baseline``), and so are the two totals of each
+    shifted residual (``_shifted_totals``), which ``_reading_from_stats``
+    reads as the frame path reads a residual's totals. The readings are
+    those of the frames at positions w0 .. w0 + n_ooc - 1 of a simulated
+    stream in law, not in bits. A cell reads no positive mass, so it emits
+    no ``MixedSignWarning``.
     """
-    draws = _cell_noise(
-        spec, ((STREAM_FRAME_TAG,), range(w0, w0 + n_ooc)), ((CELL_BASELINE_TAG,), range(2))
-    )
-    baseline = _cell_baseline(draws, anomaly.shape, w0, n_ooc)
-    frames = _stream_frames(anomaly, draws, 0, n_ooc)
-    readings = monitor_series(frames, baseline, range(n_ooc), mode=mode, t_offset=1)
-    return error_band([abs(r.g - h_true) for r in readings])
+    draws = _cell_noise(spec, ((CELL_BASELINE_TAG,), range(2)), ((CELL_STATS_TAG,), range(2)))
+    baseline = _cell_baseline(draws, anomaly.shape, w0, 0)
+    s, ss = _shifted_totals(draws, anomaly - baseline.mu0_hat, n_ooc, 2)
+    errors = [
+        abs(_reading_from_stats(s_k, ss_k, anomaly.size, baseline.sigma2_hat, mode, k).g - h_true)
+        for k, (s_k, ss_k) in enumerate(zip(s.tolist(), ss.tolist()), start=1)
+    ]
+    return error_band(errors)
 
 
 def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
@@ -389,11 +425,12 @@ def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
     )
 
 
-def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers):
+def _sweep(grid, cells, tag, seed, w0, n_ooc, mode, replicates, workers):
     """Band every ``(value, anomaly, sigma, key)`` cell once per replicate,
     seeded ``subseed(seed, tag, key, rep)``, and table the bands by value.
     Every job's ``NoiseSpec`` is built before any cell runs, so a bad sigma
-    or seed fails the sweep up front.
+    or seed, or a value repeated in the ``grid`` named, fails the sweep up
+    front.
 
     Cells are independent, so with ``workers`` > 1 they run on that many
     threads without changing any value.
@@ -406,6 +443,11 @@ def _sweep(cells, tag, seed, w0, n_ooc, mode, replicates, workers):
         raise ValueError(f"n_ooc must be >= 2, got {n_ooc}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    seen = set()
+    for value, *_, key in cells:
+        if key in seen:
+            raise ValueError(f"{grid} repeats the value {value!r}")
+        seen.add(key)
     jobs = []
     for _, anomaly, sigma, key in cells:
         h_true = hoyer_index(anomaly)
@@ -442,11 +484,14 @@ def run_robustness(
     """Error bands of the corrected index across noise levels, fixed dims.
 
     For each sigma: take the baseline of ``w0`` in-control frames at
-    ``dims`` (drawn from its exact law, see ``_cell_band``), read each of
-    ``n_ooc`` shifted frames against it, and band the absolute errors
-    against the anomaly's true index. Returns {sigma: ErrorBand}; with ``replicates`` > 1 each
-    entry is the per-field median over replicate bands. Cells may be fanned
-    out over ``workers`` threads without changing any value.
+    ``dims``, read each of ``n_ooc`` shifted frames against it, and band
+    the absolute errors against the anomaly's true index. The baseline and
+    each shifted residual's two totals are drawn from their exact law (see
+    ``_cell_band``), so a cell costs one noise frame whatever ``w0`` and
+    ``n_ooc`` are. Returns {sigma: ErrorBand}; with ``replicates`` > 1 each
+    entry is the per-field median over replicate bands. A repeated sigma is
+    refused. Cells may be fanned out over ``workers`` threads without
+    changing any value.
     """
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
@@ -455,7 +500,7 @@ def run_robustness(
         raise ValueError(f"sigmas must be finite and > 0, got {sigmas}")
     anomaly = _fixed_anomaly(kind, *dims)
     cells = [(s, anomaly, s, float_key(s)) for s in sigmas]
-    return _sweep(cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
+    return _sweep("sigmas", cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
 
 def run_consistency(
@@ -479,7 +524,7 @@ def run_consistency(
     if not cs:
         raise ValueError("empty multiplier grid")
     cells = [(c, make_scaled_anomaly(kind, c), sigma, c) for c in cs]
-    return _sweep(cells, CONSISTENCY_TAG, seed, w0, n_ooc, mode, replicates, workers)
+    return _sweep("cs", cells, CONSISTENCY_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
 
 def exact_moments(anomaly, sigma: float) -> SignalMoments:

@@ -30,6 +30,7 @@ from .indices import (
     SignalMoments,
     as_image_matrix,
     hoyer_from_matrix_stats,
+    hoyer_from_totals,
     moments_from_stats,
     noise_bias,
 )
@@ -181,8 +182,21 @@ def _reading_from_residual(
         raise DimensionError("index needs at least 2 entries per frame")
     s, ss, pos = matrix_stats(r)
     _warn_if_mixed_sign(s, pos)
-    h_raw = hoyer_from_matrix_stats(r, s, ss)
-    moments = moments_from_stats(s, ss, r.size, sigma2_hat, mode)
+    return _reading_from_stats(
+        s, ss, r.size, sigma2_hat, mode, t, h_raw=hoyer_from_matrix_stats(r, s, ss)
+    )
+
+
+def _reading_from_stats(
+    s: float, ss: float, n: int, sigma2_hat: float, mode: str, t: int, h_raw=None
+) -> SparsityReading:
+    """Corrected reading of a residual of n entries from its entry sum ``s``
+    and sum of squares ``ss`` alone. The raw index is ``hoyer_from_totals``
+    of them unless the caller, holding the matrix, passes ``h_raw`` read
+    from it (which stays right when ``ss`` over- or underflowed)."""
+    if h_raw is None:
+        h_raw = hoyer_from_totals(s, ss, n)
+    moments = moments_from_stats(s, ss, n, sigma2_hat, mode)
     return SparsityReading(t=t, h_raw=h_raw, bias=noise_bias(moments), moments=moments)
 
 

@@ -57,6 +57,42 @@ def pooled_variance_oracle(block) -> float:
     return ssq / (len(columns) * (m - 1))
 
 
+def pure_noise_index_cdf(x: float, n: int) -> float:
+    """P(index <= x) for the unclipped index of n >= 2 iid N(0, sigma^2)
+    entries, any sigma.
+
+    The index is sqrt(n)·(1 - c) / (sqrt(n) - 1), where c = |cos| of the
+    angle between the entries and the all-ones vector, and
+    T = sqrt(n - 1)·cos / sqrt(1 - cos^2) is Student's t with nu = n - 1
+    degrees of freedom. So P(index <= x) = P(|T| >= t) = 1 - A(t | nu) at
+    the c that reads x, and A(t | nu) is the finite sum of Abramowitz &
+    Stegun 26.7.3 (nu odd) and 26.7.4 (nu even) in theta = atan(t / sqrt(nu)),
+    which here is asin(c).
+    """
+    root_n = math.sqrt(n)
+    c = 1.0 - x * (root_n - 1.0) / root_n
+    if c <= 0.0:
+        return 1.0
+    if c >= 1.0:
+        return 0.0
+    nu = n - 1
+    sin_t, cos2 = c, 1.0 - c * c
+    terms = []
+    if nu % 2:  # cos + (2/3)cos^3 + (2·4)/(3·5)cos^5 + ... + cos^(nu - 2)
+        term = math.sqrt(cos2)
+        for j in range(1, (nu - 1) // 2 + 1):
+            terms.append(term)
+            term *= cos2 * (2 * j) / (2 * j + 1)
+        a = 2.0 / math.pi * (math.asin(c) + sin_t * math.fsum(terms))
+    else:  # 1 + (1/2)cos^2 + (1·3)/(2·4)cos^4 + ... + cos^(nu - 2)
+        term = 1.0
+        for j in range(nu // 2):
+            terms.append(term)
+            term *= cos2 * (2 * j + 1) / (2 * j + 2)
+        a = sin_t * math.fsum(terms)
+    return 1.0 - a
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20260810))

@@ -64,9 +64,9 @@ class TestIndex:
 
 
 class TestSimulate:
-    def run(self, *extra):
+    def run(self, *extra, experiment="robustness"):
         return main(
-            ["simulate", "robustness", "--kind", "dense", "--seed", "3",
+            ["simulate", experiment, "--kind", "dense", "--seed", "3",
              "--sigmas", "0.5", "1.0", "--w0", "30", "--n-ooc", "20",
              "--out", "report.json", *extra]
         )
@@ -105,15 +105,19 @@ class TestSimulate:
             ["--replicates", "0"], ["--replicates", "-2"], ["--workers", "-1"],
             ["--n-ooc", "1"], ["--n-ooc", "0"], ["--w0", "1"],
             ["--sigmas", "0.5", "0.0"], ["--sigmas", "0.5", "nan"], ["--seed", "-1"],
+            ["--sigmas", "1", "1.0"], ["--cs", "10", "10"],
         ],
     )
     def test_bad_count_exit_2_and_no_report(self, in_tmp, capsys, bad):
         # Refused before any cell runs, with a message that names the
-        # parameter.
-        assert self.run(*bad) == 2
+        # parameter (and a repeated grid value, the value).
+        experiment = "consistency" if bad[0] == "--cs" else "robustness"
+        assert self.run(*bad, experiment=experiment) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert bad[0].lstrip("-").replace("-", "_") in captured.err
+        if bad in (["--sigmas", "1", "1.0"], ["--cs", "10", "10"]):
+            assert f"repeats the value {bad[2]}" in captured.err
         assert captured.out == ""
         assert not (in_tmp / "report.json").exists()
         assert not (in_tmp / "report.csv").exists()

@@ -22,7 +22,7 @@ from hoyerstream import (
 )
 from hoyerstream.indices import moment_floor
 
-from conftest import bias_oracle, hoyer_oracle
+from conftest import bias_oracle, hoyer_oracle, pure_noise_index_cdf
 
 # Frozen from the brute-force fsum oracle (see conftest.hoyer_oracle).
 DENSE_H = 0.19962785637227268
@@ -121,6 +121,26 @@ class TestHoyer:
         h = hoyer_index(e, clip=False)
         assert hoyer_index(1.7e3 * e, clip=False) == pytest.approx(h, rel=1e-12)
         assert hoyer_index(2.0 * e, clip=False) == h  # power-of-2 scaling is exact
+
+
+class TestPureNoiseLaw:
+    """The index of white Gaussian noise has an exact finite-n law (see
+    ``conftest.pure_noise_index_cdf``); simulated indices must follow it."""
+
+    @pytest.mark.parametrize("shape", [(1, 5), (10, 10), (25, 40)])
+    def test_empirical_cdf_within_dkw_band(self, shape, rng):
+        # Dvoretzky-Kiefer-Wolfowitz (Massart's constant): the sup distance
+        # D of N draws' empirical CDF from the true one exceeds eps with
+        # probability at most 2·exp(-2·N·eps^2) = 3e-7 here, so the three
+        # sizes fail falsely with probability below 1e-6.
+        draws = 2000
+        eps = math.sqrt(math.log(2 / 3e-7) / (2 * draws))
+        n = shape[0] * shape[1]
+        frames = 2.5 * rng.standard_normal((draws,) + shape)
+        indices = sorted(hoyer_index(f, clip=False) for f in frames)
+        cdf = [pure_noise_index_cdf(x, n) for x in indices]
+        d = max(max((i + 1) / draws - f, f - i / draws) for i, f in enumerate(cdf))
+        assert d < eps, (n, d, eps)
 
 
 class TestNoiseBias:

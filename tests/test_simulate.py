@@ -3,6 +3,7 @@
 import collections
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 
 import hoyerstream.simulate as simulate
 from hoyerstream import (
-    BaselineModel,
     ErrorBand,
+    MixedSignWarning,
     NoiseSpec,
     fit_baseline,
-    corrected_reading,
+    corrected_hoyer,
     hoyer_index,
     make_dense_anomaly,
     make_scaled_anomaly,
@@ -28,14 +29,18 @@ from hoyerstream import (
     verify_noise_domination,
     verify_noise_sparsity_decay,
 )
+from hoyerstream.indices import hoyer_from_totals, moments_from_stats
+from hoyerstream.kernels import matrix_stats
 from hoyerstream.simulate import (
     CELL_BASELINE_TAG,
+    CELL_STATS_TAG,
     ROBUSTNESS_TAG,
     STREAM_FRAME_TAG,
     _cell_band,
     _cell_baseline,
     _cell_noise,
     _philox_keys,
+    _shifted_totals,
     error_band,
     float_key,
     near_square_dims,
@@ -231,19 +236,20 @@ class TestKeyDerivation:
 
 
 class _CountingDraws:
-    """Passes a cell's draws through, counting noise frames and chi-squares."""
+    """Passes a cell's draws through, logging the shape of each normal draw
+    and the size of each chi-square draw."""
 
     def __init__(self, draws):
         self.draws, self.sigma = draws, draws.sigma
-        self.frames = self.chisquares = 0
+        self.normals, self.chisquares = [], []
 
     def __call__(self, out, i):
-        self.frames += 1
+        self.normals.append(out.shape)
         return self.draws(out, i)
 
-    def chisquare(self, df, i):
-        self.chisquares += 1
-        return self.draws.chisquare(df, i)
+    def chisquare(self, df, i, size=None):
+        self.chisquares.append(size)
+        return self.draws.chisquare(df, i, size)
 
 
 # Median of means: split the samples into _BLOCKS blocks of m and take the
@@ -302,6 +308,71 @@ class TestCellBaseline:
                 if _median_of_means_misses(values, target, sd).any()
             ]
             assert not missed, (name, missed)
+
+
+class TestShiftedTotals:
+    """A cell draws each shifted residual's entry sum s and sum of squares
+    ss from their exact joint law. For r = b + e, e iid N(0, sigma^2) over
+    n entries, S = sum(b), B = ||b||^2 and lam = B / sigma^2: s is
+    N(S, n·sigma^2); ss / sigma^2 is noncentral chi-square with n degrees
+    of freedom and noncentrality lam, so E ss = B + n·sigma^2 and its
+    cumulants are k2 = 2(n + 2·lam), k4 = 48(n + 4·lam) in units of
+    sigma^4 and sigma^8; Cov(s, ss) = 2·sigma^2·S, and the product of the
+    two deviations has variance n·sigma^4·(4·S^2/n + 4·B + (2n + 8)·sigma^2)."""
+
+    @pytest.mark.parametrize(
+        "anomaly", [[[1.5, 0.5]], [[2.0, 1.0, 0.0]], [[2.0, 1.0, 0.0], [0.0, 1.0, 2.0]]]
+    )
+    def test_first_two_moments_match_the_law_and_matrix_stats(self, anomaly):
+        # 5 median-of-means checks for each of the two sources and three
+        # shapes, 30 in all, so the test fails falsely with probability
+        # below 30 · 1.7e-9 < 1e-7.
+        sigma, w0 = 2.0, 50
+        a = np.array(anomaly)
+        n = a.size
+        spec = NoiseSpec(sigma, 2025)
+        count = _BLOCKS * 200
+        draws = _cell_noise(spec, ((CELL_BASELINE_TAG,), range(2)), ((CELL_STATS_TAG,), range(2)))
+        mu0_hat = _cell_baseline(draws, a.shape, w0, 0).mu0_hat
+        drawn = _shifted_totals(draws, a - mu0_hat, count, 2)
+        noise = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(count)))
+        e = np.empty(a.shape)
+        real = np.array([matrix_stats(a + noise(e, k) - mu0_hat)[:2] for k in range(count)]).T
+
+        b = [float(v) for v in (a - mu0_hat).ravel()]
+        big_s, big_b = math.fsum(b), math.fsum(v * v for v in b)
+        mean_ss = big_b + n * sigma**2
+        lam = big_b / sigma**2
+        k2, k4 = 2 * (n + 2 * lam), 48 * (n + 4 * lam)
+        ss_sd = sigma**4 * math.sqrt(k4 + 2 * k2**2)
+        cov_sd = sigma**2 * math.sqrt(n * (4 * big_s**2 / n + 4 * big_b + (2 * n + 8) * sigma**2))
+        for name, (s, ss) in (("drawn", drawn), ("matrix_stats", real)):
+            checks = {
+                "s mean": (s, big_s, sigma * math.sqrt(n)),
+                "s variance": ((s - big_s) ** 2, n * sigma**2, math.sqrt(2) * n * sigma**2),
+                "ss mean": (ss, mean_ss, sigma**2 * math.sqrt(k2)),
+                "ss variance": ((ss - mean_ss) ** 2, sigma**4 * k2, ss_sd),
+                "covariance": ((s - big_s) * (ss - mean_ss), 2 * sigma**2 * big_s, cov_sd),
+            }
+            missed = [
+                check
+                for check, (values, target, sd) in checks.items()
+                if _median_of_means_misses(values, target, sd).any()
+            ]
+            assert not missed, (name, missed)
+
+    def test_out_of_range_sum_of_squares_raises(self):
+        # A noise level whose square overflows gives no finite total, and
+        # a blank residual with vanishing noise none above the smallest
+        # normal float: the cell refuses both rather than read them.
+        for sigma, b in ((1e200, np.ones((2, 3))), (1e-200, np.zeros((2, 3)))):
+            draws = _cell_noise(NoiseSpec(sigma, 1), ((CELL_STATS_TAG,), range(2)))
+            with pytest.raises(ValueError, match="normal float range"):
+                _shifted_totals(draws, b, 4, 0)
+        # Such a noise level fails the cell's baseline first, as a bad
+        # input, not as an arithmetic error.
+        with pytest.raises(ValueError, match="sigma2_hat must be finite"):
+            run_robustness([1e200], "dense", 0, w0=2, n_ooc=2, dims=(2, 3))
 
 
 class TestResidualStream:
@@ -374,31 +445,45 @@ class TestErrorBand:
 class TestSweepDrivers:
     def test_robustness_composes_from_public_ops(self):
         # A one-sigma sweep must equal the same pipeline assembled by hand
-        # with the documented derivations: the cell seed; the baseline's two
-        # draws, a noise frame over sqrt(w0) and a chi-square with
-        # n·(w0 - 1) degrees of freedom scaled to sigma2_hat; and the
-        # shifted frames of the public stream, read by corrected_reading.
+        # from NumPy generators at the documented keys and the documented
+        # formulas: the cell seed; the baseline's noise frame over sqrt(w0)
+        # and its chi-square with n·(w0 - 1) degrees of freedom scaled to
+        # sigma2_hat; then, for b = A - mu0_hat, each shifted residual's
+        # sum and sum of squares from z1, z2 and a chi-square with n - 2
+        # degrees of freedom; each read by the one index and moment
+        # formulas and the correction.
         sigma, master, w0, n_ooc = 1.5, 77, 50, 40
         table = run_robustness([sigma], "dense", master, w0=w0, n_ooc=n_ooc)
         a = make_dense_anomaly(100, 200)
-        h_true = hoyer_index(a)
+        n, h_true = a.size, hoyer_index(a)
         spec = NoiseSpec(sigma, subseed(master, ROBUSTNESS_TAG, float_key(sigma), 0))
-        df = a.size * (w0 - 1)
+
+        def chisquare(key, df, size=None):
+            ss = np.random.SeedSequence(spec.seed, spawn_key=key)
+            return 2.0 * np.random.Generator(np.random.Philox(ss)).standard_gamma(df / 2, size)
+
+        df = n * (w0 - 1)
         mu0_hat = _reference_noise(a.shape, spec, (CELL_BASELINE_TAG, 0)) / math.sqrt(w0)
-        ss = np.random.SeedSequence(spec.seed, spawn_key=(CELL_BASELINE_TAG, 1))
-        chi2 = 2.0 * np.random.Generator(np.random.Philox(ss)).standard_gamma(df / 2)
-        baseline = BaselineModel(mu0_hat=mu0_hat, sigma2_hat=sigma**2 * chi2 / df, w0=w0)
-        frames = simulate_residual_stream(a, spec, n_ic=w0, n_ooc=n_ooc)[w0:]
-        errs = [
-            abs(corrected_reading(frame, baseline, t=i + 1).g - h_true)
-            for i, frame in enumerate(frames)
-        ]
+        sigma2_hat = sigma * sigma * chisquare((CELL_BASELINE_TAG, 1), df) / df
+        b = a - mu0_hat
+        b_bar = matrix_stats(b)[0] / n
+        beta = math.sqrt(matrix_stats(b - b_bar)[1])
+        z1, z2 = _reference_noise((2, n_ooc), spec, (CELL_STATS_TAG, 0))
+        u = math.sqrt(n) * b_bar + z1
+        s = math.sqrt(n) * u
+        ss = u**2 + (beta + z2) ** 2 + sigma * sigma * chisquare((CELL_STATS_TAG, 1), n - 2, n_ooc)
+        errs = []
+        for s_k, ss_k in zip(s.tolist(), ss.tolist()):
+            moments = moments_from_stats(s_k, ss_k, n, sigma2_hat)
+            errs.append(abs(corrected_hoyer(hoyer_from_totals(s_k, ss_k, n), moments) - h_true))
         manual = error_band(errs)
         assert table[sigma] == manual
 
-    def test_cell_draws_n_ooc_plus_one_noise_frames(self, monkeypatch):
-        # The baseline costs one noise frame and one chi-square draw, not
-        # w0 frames: a cell's draws do not grow with w0.
+    def test_cell_draws_one_noise_frame(self, monkeypatch):
+        # A cell makes one noise frame (mu0_hat) and draws 3·n_ooc + 1
+        # scalars: a (2, n_ooc) block of normals and two chi-square draws,
+        # one for sigma2_hat and n_ooc for the residuals. None of it grows
+        # with w0, and only the scalars grow with n_ooc.
         made = []
         original = simulate._cell_noise
 
@@ -407,10 +492,19 @@ class TestSweepDrivers:
             return made[-1]
 
         monkeypatch.setattr(simulate, "_cell_noise", counting)
-        for w0 in (20, 200):
+        for w0, n_ooc in ((20, 10), (200, 10), (20, 40)):
             made.clear()
-            run_robustness([1.0, 2.0], "dense", 5, w0=w0, n_ooc=10, dims=(10, 20))
-            assert [(d.frames, d.chisquares) for d in made] == [(11, 1), (11, 1)], w0
+            run_robustness([1.0, 2.0], "dense", 5, w0=w0, n_ooc=n_ooc, dims=(10, 20))
+            cell = ([(10, 20), (2, n_ooc)], [None, n_ooc])
+            assert [(d.normals, d.chisquares) for d in made] == [cell, cell], (w0, n_ooc)
+
+    def test_cells_emit_no_mixed_sign_warning(self):
+        # A cell reads only each residual's sum and sum of squares, so even
+        # fully mixed-sign residuals (sigma 3 on the dense pattern) warn
+        # of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MixedSignWarning)
+            run_robustness([3.0], "dense", 5, w0=20, n_ooc=10)
 
     def test_cells_keyed_by_value_not_position(self):
         full = run_robustness([0.5, 1.0], "sparse", 5, w0=30, n_ooc=20)
