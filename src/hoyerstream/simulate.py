@@ -4,23 +4,19 @@ sweeps plus direct Monte Carlo checks of the asymptotic claims.
 
 Randomness contract
 -------------------
-All noise comes from NumPy's Philox counter generator. Sub-streams are
-derived by mixing a key into the master seed as ``numpy.random.SeedSequence
-(master, spawn_key=key)`` does; experiment cells are keyed by parameter *value*
-(bit pattern for floats) and replicate number, never by grid position, so
-reordering or subsetting a grid leaves every cell's stream unchanged, and the
-frame at position k of a simulated stream can be regenerated on its own.
-Cells are independent, which is what lets the sweep drivers fan out across
-threads without affecting results.
+All noise comes from NumPy's Philox counter generator. Each keyed draw is
+made by a fresh ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``
+(``_rng``, the one place a generator is built), so any draw can be
+reproduced from NumPy alone, given its seed and key; ``subseed`` is the
+first 64-bit word of the same ``SeedSequence``. Seeds and keys are
+non-negative integers, and a float is refused, never truncated.
 
-Philox is counter-based, so a draw's noise is fixed by its 128-bit key
-alone. ``_cell_noise`` is the one place a generator is built: it derives the
-keys of a batch of sub-streams (a cell's draws, a verifier's replicates) in
-one vectorized pass (``_philox_keys``, SeedSequence's own hash mixing on
-uint32 arrays) and builds one Philox, which it resets to each key with its
-counter and buffer cleared; ``sample_noise`` is its one-draw use. The
-derivation is SeedSequence's, so every draw has the bits a fresh generator
-seeded by ``SeedSequence`` would give it.
+Experiment cells are keyed by parameter *value* (bit pattern for floats)
+and replicate number, never by grid position, so reordering or subsetting a
+grid leaves every cell's stream unchanged, and the frame at position k of a
+simulated stream can be regenerated on its own. Cells are independent and
+share no generator, which is what lets the sweep drivers fan out across
+threads without affecting results.
 
 A simulation cell makes no stream frames. Its noise is iid N(0, sigma^2),
 so everything it reads has a known law, and it draws from that law with
@@ -44,6 +40,7 @@ So a cell draws one noise frame and 3·n_ooc + 1 scalars, whatever w0 is.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -79,7 +76,11 @@ class NoiseSpec:
     def __post_init__(self):
         if not math.isfinite(self.sigma) or self.sigma <= 0.0:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
-        if not 0 <= int(self.seed) < _MAX_SEED:
+        try:
+            valid = 0 <= operator.index(self.seed) < _MAX_SEED
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
@@ -103,100 +104,15 @@ class ErrorBand:
         return self.hi - self.lo
 
 
-# SeedSequence's constants (NumPy's bit_generator.pyx, after O'Neill's
-# seed_seq): a 4-word pool, hashmix multipliers, the pool mix and the output.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _int_words(n, pad_to: int = 1) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int, zero-padded to
-    ``pad_to`` words; 0 is the one word 0, as SeedSequence splits it."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = []
-    while n or len(words) < pad_to:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hashed_keys(columns, n: int) -> np.ndarray:
-    """SeedSequence's pool mixing and ``generate_state(2, np.uint64)`` over
-    entropy ``columns`` (at least 4), each a Python int below 2**32 shared by
-    all ``n`` rows or an (n,) uint32 array; returns (n, 2) uint64.
-
-    The running hash constants do not depend on the data, so they stay
-    Python ints masked to 32 bits. Words shared by all rows are mixed as
-    Python ints, masked after each product and difference; the rest is
-    arithmetic on uint32 arrays, which wraps as the C code's does (there the
-    masks change nothing). So only the words that differ between rows cost
-    array operations.
-    """
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in columns[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in columns[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = np.empty((n, _POOL_SIZE), dtype="<u4")
-    for i, word in enumerate(pool):
-        word = word ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        word = (word * hash_const) & _MASK32
-        state[:, i] = word ^ (word >> 16)
-    return state.view("<u8").astype(np.uint64)
-
-
-def _philox_keys(seed: int, prefix, positions=None) -> np.ndarray:
-    """Row i is ``SeedSequence(seed, spawn_key=(*prefix, positions[i]))
-    .generate_state(2, np.uint64)``, the Philox key of that sub-stream, as
-    an (n, 2) uint64 array. With ``positions`` None there is one row, keyed
-    by ``prefix`` alone. Seeds and keys are non-negative ints of any size.
-
-    SeedSequence pads the seed's words with zeros to its pool size when a
-    spawn key is present; without one, the pool is filled with the hash of
-    0, which is the same thing, so the seed is always padded here. Rows
-    whose positions need more 32-bit words are mixed as their own group.
-    """
-    head = _int_words(seed, _POOL_SIZE) + [w for k in prefix for w in _int_words(k)]
-    if positions is None:
-        return _hashed_keys(head, 1)
-    tails = [_int_words(p) for p in positions]
-    groups = {}
-    for row, tail in enumerate(tails):
-        groups.setdefault(len(tail), []).append(row)
-    keys = np.empty((len(tails), 2), dtype=np.uint64)
-    for rows in groups.values():
-        words = np.array([tails[row] for row in rows], dtype=np.uint32)
-        keys[rows] = _hashed_keys(head + list(words.T), len(rows))
-    return keys
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """A fresh generator on the Philox sub-stream keyed ``key`` under ``seed``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def subseed(master_seed: int, *key: int) -> int:
     """Derive a 64-bit sub-seed by mixing ``key`` into the master seed."""
-    return int(_philox_keys(master_seed, key)[0, 0])
+    ss = np.random.SeedSequence(master_seed, spawn_key=key)
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def float_key(value: float) -> int:
@@ -204,58 +120,11 @@ def float_key(value: float) -> int:
     return int(np.float64(value).view(np.uint64))
 
 
-class _KeyedDraws:
-    """Draws from a batch of keyed sub-streams through one Philox.
-
-    ``draws(out, i)`` writes the N(0, sigma^2) noise of sub-stream i into
-    ``out``; ``draws.chisquare(df, i, size)`` is sub-stream i's chi-square
-    variates, one float when ``size`` is None. Before each draw the
-    generator is given the draw's key with a zero counter, an empty buffer
-    and no spare 32-bit word, the state a fresh generator starts in.
-    Clearing the buffer matters: 64-bit draws are served from Philox's
-    4-word buffer, so a stale one would shift the next draw. The generator
-    is the caller's alone; it is never shared between threads.
-    """
-
-    def __init__(self, sigma: float, keys: np.ndarray):
-        self.sigma = sigma
-        self._keys = keys
-        self._bitgen = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bitgen)
-        self._fresh = self._bitgen.state
-
-    def _at(self, i: int) -> np.random.Generator:
-        self._fresh["state"]["key"] = self._keys[i]
-        self._bitgen.state = self._fresh
-        return self._gen
-
-    def __call__(self, out: np.ndarray, i: int) -> np.ndarray:
-        self._at(i).standard_normal(out=out)
-        out *= self.sigma
-        return out
-
-    def chisquare(self, df: float, i: int, size=None):
-        x = self._at(i).chisquare(df, size)
-        return float(x) if size is None else x
-
-
-def _cell_noise(spec: NoiseSpec, *streams) -> _KeyedDraws:
-    """The draws of every sub-stream of ``streams``, numbered in order.
-
-    Each stream is a ``(prefix, positions)`` pair: the sub-streams keyed
-    ``(*prefix, p)`` for p in ``positions``, or with ``positions`` None the
-    one sub-stream keyed ``prefix``. All keys are derived at once, and one
-    Philox serves every draw.
-    """
-    keys = [_philox_keys(spec.seed, prefix, positions) for prefix, positions in streams]
-    return _KeyedDraws(spec.sigma, np.concatenate(keys))
-
-
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 matrix of iid N(0, sigma^2) entries; same inputs, same bits."""
     if p1 < 1 or p2 < 1:
         raise ValueError(f"dims must be positive, got ({p1}, {p2})")
-    return _cell_noise(spec, (key, None))(np.empty((p1, p2)), 0)
+    return spec.sigma * _rng(spec.seed, *key).standard_normal((p1, p2))
 
 
 def make_dense_anomaly(p1: int, p2: int) -> np.ndarray:
@@ -310,7 +179,7 @@ def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.n
     """Noise of the frame at 0-based ``position`` of a simulated stream.
 
     Exposed so any single frame can be replayed without rebuilding the
-    stream; ``simulate_residual_stream`` uses exactly this derivation.
+    stream; ``simulate_residual_stream`` fills frame k with exactly this.
     """
     return sample_noise(p1, p2, spec, STREAM_FRAME_TAG, position)
 
@@ -329,9 +198,8 @@ def simulate_residual_stream(
         raise ValueError(f"n_ic and n_ooc must be >= 1, got ({n_ic}, {n_ooc})")
     n = n_ic + n_ooc
     frames = np.empty((n,) + a.shape)
-    noise = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(n)))
     for k in range(n):
-        noise(frames[k], k)
+        frames[k] = stream_frame_noise(*a.shape, spec, k)
     frames[n_ic:] += a
     return frames
 
@@ -344,33 +212,36 @@ def error_band(errors) -> ErrorBand:
     return ErrorBand(m_eps=float(np.mean(e)), sigma_eps=float(np.std(e, ddof=1)))
 
 
-def _cell_baseline(draws: _KeyedDraws, shape, w0: int, i: int) -> BaselineModel:
+def _cell_baseline(spec: NoiseSpec, shape, w0: int) -> BaselineModel:
     """The baseline ``fit_baseline`` fits on ``w0`` frames of iid
-    N(0, sigma^2) noise, drawn from its exact law with draws i and i + 1.
+    N(0, sigma^2) noise, drawn from its exact law at the keys
+    ``(CELL_BASELINE_TAG, 0)`` and ``(CELL_BASELINE_TAG, 1)``.
 
     Per pixel, the mean of w0 such frames is N(0, sigma^2 / w0): one noise
-    frame (draw i) over sqrt(w0). The pooled sum of squared deviations over
+    frame (key 0) over sqrt(w0). The pooled sum of squared deviations over
     sigma^2 is chi-square with n·(w0 - 1) degrees of freedom, n = p1·p2
-    (draw i + 1), and it is independent of the means (Cochran, 1934).
+    (key 1), and it is independent of the means (Cochran, 1934).
     """
     df = shape[0] * shape[1] * (w0 - 1)
-    mu0_hat = draws(np.empty(shape), i)
+    mu0_hat = sample_noise(*shape, spec, CELL_BASELINE_TAG, 0)
     mu0_hat /= math.sqrt(w0)
-    sigma2_hat = draws.sigma * draws.sigma * draws.chisquare(df, i + 1) / df
+    chi2 = _rng(spec.seed, CELL_BASELINE_TAG, 1).chisquare(df)
+    sigma2_hat = spec.sigma * spec.sigma * chi2 / df
     return BaselineModel(mu0_hat=mu0_hat, sigma2_hat=sigma2_hat, w0=w0)
 
 
-def _shifted_totals(draws: _KeyedDraws, b: np.ndarray, count: int, i: int):
+def _shifted_totals(spec: NoiseSpec, b: np.ndarray, count: int):
     """Entry sums and sums of squares of ``count`` residuals b + e, e a
-    frame of iid N(0, sigma^2) noise, drawn from their exact joint law with
-    draws i and i + 1; returns two (count,) arrays.
+    frame of iid N(0, sigma^2) noise, drawn from their exact joint law at
+    the keys ``(CELL_STATS_TAG, 0)`` and ``(CELL_STATS_TAG, 1)``; returns
+    two (count,) arrays.
 
     With n = b.size, b_bar = sum(b) / n and beta = ||b - b_bar||, rotate
     the noise into an orthonormal basis led by 1/sqrt(n) and
     (b - b_bar) / beta. Its coordinates stay iid N(0, sigma^2): z1, z2 on
-    the first two (draw i, a (2, count) block), and sigma^2 times a
-    chi-square with n - 2 degrees of freedom for the squared rest (draw
-    i + 1, skipped when n = 2). So, exactly, u = sqrt(n)·b_bar + z1,
+    the first two (key 0, a (2, count) block), and sigma^2 times a
+    chi-square with n - 2 degrees of freedom for the squared rest (key 1,
+    skipped when n = 2). So, exactly, u = sqrt(n)·b_bar + z1,
     sum = sqrt(n)·u and sum of squares = u^2 + (beta + z2)^2 + sigma^2·C.
     beta is taken two-pass, from b - b_bar, so it does not cancel.
 
@@ -380,12 +251,13 @@ def _shifted_totals(draws: _KeyedDraws, b: np.ndarray, count: int, i: int):
     n = b.size
     b_bar = matrix_stats(b)[0] / n
     beta = math.sqrt(matrix_stats(b - b_bar)[1])
-    z1, z2 = draws(np.empty((2, count)), i)
+    z1, z2 = sample_noise(2, count, spec, CELL_STATS_TAG, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         u = math.sqrt(n) * b_bar + z1
         ss = u**2 + (beta + z2) ** 2
         if n > 2:
-            ss += draws.sigma * draws.sigma * draws.chisquare(n - 2, i + 1, size=count)
+            chi2 = _rng(spec.seed, CELL_STATS_TAG, 1).chisquare(n - 2, count)
+            ss += spec.sigma * spec.sigma * chi2
     if not (np.isfinite(ss).all() and ss.min() >= sys.float_info.min):
         raise ValueError(
             f"drawn sum of squares out of the normal float range: {ss.min()!r} .. {ss.max()!r}"
@@ -406,9 +278,8 @@ def _cell_band(anomaly, h_true, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
     stream in law, not in bits. A cell reads no positive mass, so it emits
     no ``MixedSignWarning``.
     """
-    draws = _cell_noise(spec, ((CELL_BASELINE_TAG,), range(2)), ((CELL_STATS_TAG,), range(2)))
-    baseline = _cell_baseline(draws, anomaly.shape, w0, 0)
-    s, ss = _shifted_totals(draws, anomaly - baseline.mu0_hat, n_ooc, 2)
+    baseline = _cell_baseline(spec, anomaly.shape, w0)
+    s, ss = _shifted_totals(spec, anomaly - baseline.mu0_hat, n_ooc)
     errors = [
         abs(_reading_from_stats(s_k, ss_k, anomaly.size, baseline.sigma2_hat, mode, k).g - h_true)
         for k, (s_k, ss_k) in enumerate(zip(s.tolist(), ss.tolist()), start=1)
@@ -553,12 +424,12 @@ def verify_bias_theorem(
     predicted = noise_bias(exact_moments(a, sigma)) if sigma > 0 else 0.0
     h_a = hoyer_index(a)
     p1, p2 = a.shape
-    gaps = []
     if sigma > 0:
-        noise = _cell_noise(NoiseSpec(sigma, seed), ((BIAS_CHECK_TAG,), range(reps)))
-        e = np.empty((p1, p2))
-        for rep in range(reps):
-            gaps.append(hoyer_index(a + noise(e, rep)) - h_a)
+        spec = NoiseSpec(sigma, seed)
+        gaps = [
+            hoyer_index(a + sample_noise(p1, p2, spec, BIAS_CHECK_TAG, rep)) - h_a
+            for rep in range(reps)
+        ]
     else:
         gaps = [0.0] * reps
     empirical = float(np.mean(gaps))
@@ -601,9 +472,11 @@ def verify_noise_sparsity_decay(
         p1, p2 = (size if isinstance(size, tuple) else near_square_dims(int(size)))
         n = p1 * p2
         scale = math.sqrt(n / math.log(math.log(n)))
-        noise = _cell_noise(NoiseSpec(sigma, seed), ((DECAY_CHECK_TAG, n), range(reps)))
-        e = np.empty((p1, p2))
-        gaps = [1.0 - hoyer_index(noise(e, rep), clip=False) for rep in range(reps)]
+        spec = NoiseSpec(sigma, seed)
+        gaps = [
+            1.0 - hoyer_index(sample_noise(p1, p2, spec, DECAY_CHECK_TAG, n, rep), clip=False)
+            for rep in range(reps)
+        ]
         med = float(np.median(gaps))
         rows.append(
             {
@@ -635,9 +508,11 @@ def verify_noise_domination(
         raise ValueError(f"reps must be >= 1, got {reps}")
     a = np.tile(_fixed_anomaly(kind, 100, 200), (2, 1))
     predicted = hoyer_index(a) + noise_bias(exact_moments(a, sigma))
-    noise = _cell_noise(NoiseSpec(sigma, seed), ((DOMINATION_CHECK_TAG,), range(reps)))
-    e = np.empty(a.shape)
-    values = [hoyer_index(a + noise(e, rep)) for rep in range(reps)]
+    spec = NoiseSpec(sigma, seed)
+    values = [
+        hoyer_index(a + sample_noise(*a.shape, spec, DOMINATION_CHECK_TAG, rep))
+        for rep in range(reps)
+    ]
     return {
         "dims": a.shape,
         "sigma": sigma,

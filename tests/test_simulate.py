@@ -7,8 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import hoyerstream.simulate as simulate
 from hoyerstream import (
@@ -35,11 +33,8 @@ from hoyerstream.simulate import (
     CELL_BASELINE_TAG,
     CELL_STATS_TAG,
     ROBUSTNESS_TAG,
-    STREAM_FRAME_TAG,
     _cell_band,
     _cell_baseline,
-    _cell_noise,
-    _philox_keys,
     _shifted_totals,
     error_band,
     float_key,
@@ -132,45 +127,22 @@ class TestSampleNoise:
             NoiseSpec(1.0, 2**64)
 
 
-def _seed_sequence_key(seed, key):
-    return np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(2, np.uint64)
-
-
 def _reference_noise(shape, spec, key):
     """Noise at ``key`` from a fresh NumPy generator, built here, not by the package."""
     ss = np.random.SeedSequence(spec.seed, spawn_key=tuple(key))
     return spec.sigma * np.random.Generator(np.random.Philox(ss)).standard_normal(shape)
 
 
-_key_elements = st.one_of(
-    st.integers(0, 2**32 - 1),
-    st.integers(2**32, 2**64 - 1),
-    st.floats(allow_nan=False).map(float_key),
-)
-
-
 class TestKeyDerivation:
-    """``_philox_keys`` reimplements SeedSequence's mixing; SeedSequence is
-    the oracle for every row."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**128 - 1),
-        prefix=st.lists(_key_elements, max_size=2),
-        positions=st.lists(_key_elements, min_size=1, max_size=6),
-    )
-    def test_rows_match_seed_sequence(self, seed, prefix, positions):
-        keys = _philox_keys(seed, prefix, positions)
-        assert keys.shape == (len(positions), 2) and keys.dtype == np.uint64
-        for row, position in zip(keys, positions):
-            assert np.array_equal(row, _seed_sequence_key(seed, [*prefix, position]))
-        assert np.array_equal(_philox_keys(seed, prefix)[0], _seed_sequence_key(seed, prefix))
+    """Every keyed draw is a fresh NumPy generator at its key, so a generator
+    built in the test from NumPy alone is the oracle."""
 
     @pytest.mark.parametrize("seed", [0, 7, 12345, 2**40 + 3, 2**64 - 1])
     def test_cell_positions_and_public_derivations(self, seed):
-        keys = _philox_keys(seed, (0,), range(400))
+        spec = NoiseSpec(1.0, seed)
+        frames = simulate_residual_stream(np.zeros((2, 3)), spec, n_ic=200, n_ooc=200)
         for k in (0, 1, 255, 256, 399):
-            assert np.array_equal(keys[k], _seed_sequence_key(seed, (0, k)))
+            assert np.array_equal(frames[k], _reference_noise((2, 3), spec, (0, k))), k
         ss = np.random.SeedSequence(seed, spawn_key=(1, 2))
         assert subseed(seed, 1, 2) == int(ss.generate_state(1, np.uint64)[0])
         reference = np.random.Generator(np.random.Philox(ss))
@@ -180,28 +152,34 @@ class TestKeyDerivation:
 
     def test_negative_seed_or_key_rejected(self):
         with pytest.raises(ValueError):
-            _philox_keys(-1, ())
+            subseed(-1)
         with pytest.raises(ValueError):
-            _philox_keys(1, (-2,))
+            subseed(1, -2)
         with pytest.raises(ValueError):
-            _philox_keys(1, (0,), [3, -1])
+            stream_frame_noise(2, 2, NoiseSpec(1.0, 1), -1)
         with pytest.raises(ValueError):
             subseed(-5, 0)
         with pytest.raises(ValueError):
             sample_noise(2, 2, NoiseSpec(1.0, 3), 0, -1)
-
-    def test_cell_generator_resets_buffer_between_frames(self):
-        # Frames of odd entry counts leave Philox's 4-word buffer part-used;
-        # each frame must still draw as a fresh generator at its key does.
-        spec = NoiseSpec(1.0, 21)
-        fill = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(3)))
-        for k, shape in enumerate([(1, 3), (3, 5), (7, 1)]):
-            frame = fill(np.empty(shape), k)
-            assert np.array_equal(frame, _reference_noise(shape, spec, (0, k))), k
+        # A float seed or key is refused, never truncated to an integer.
+        with pytest.raises(ValueError, match="seed must be"):
+            NoiseSpec(1.0, 1.5)
+        with pytest.raises(ValueError, match="seed must be"):
+            NoiseSpec(1.0, 1.0)
+        with pytest.raises(TypeError):
+            sample_noise(2, 2, NoiseSpec(1.0, 3), 2.9)
+        with pytest.raises(TypeError):
+            subseed(7, 0.5)
+        # NumPy integers are integers.
+        assert np.array_equal(
+            sample_noise(2, 2, NoiseSpec(1.0, np.uint64(3)), np.int64(2)),
+            sample_noise(2, 2, NoiseSpec(1.0, 3), 2),
+        )
 
     def test_constant_generator_constructions_per_cell(self, monkeypatch):
-        # A cell builds its generator once, not once per frame: the counts
-        # must not grow with the stream, only with the number of cells.
+        # A cell builds one generator per keyed draw (four) and one more
+        # SeedSequence for its seed: the counts must not grow with the
+        # stream or the baseline window, only with the number of cells.
         counts = collections.Counter()
         for name in ("Philox", "Generator", "SeedSequence"):
             original = getattr(np.random, name)
@@ -212,17 +190,18 @@ class TestKeyDerivation:
 
             monkeypatch.setattr(np.random, name, build)
 
-        def constructions(n_ooc=10, replicates=1):
+        def constructions(w0=20, n_ooc=10, replicates=1):
             counts.clear()
-            run_robustness([1.0], "dense", 5, w0=20, n_ooc=n_ooc, replicates=replicates)
+            run_robustness([1.0], "dense", 5, w0=w0, n_ooc=n_ooc, replicates=replicates)
             return dict(counts)
 
         per_cell = constructions()
-        assert sum(per_cell.values()) <= 3, per_cell
+        assert per_cell == {"SeedSequence": 5, "Philox": 4, "Generator": 4}, per_cell
         assert constructions(n_ooc=40) == per_cell
+        assert constructions(w0=200) == per_cell
         assert constructions(replicates=2) == {k: 2 * v for k, v in per_cell.items()}
 
-        # Each verifier loop builds one generator, however many replicates.
+        # Each verifier builds one generator per replicate.
         verifiers = [
             lambda reps: verify_bias_theorem(1.0, 1.0, dims=(10, 20), reps=reps),
             lambda reps: verify_noise_sparsity_decay([200], reps=reps),
@@ -232,24 +211,25 @@ class TestKeyDerivation:
             for reps in (2, 7):
                 counts.clear()
                 verify(reps)
-                assert dict(counts) == {"Philox": 1, "Generator": 1}, (reps, dict(counts))
+                expected = {"SeedSequence": reps, "Philox": reps, "Generator": reps}
+                assert dict(counts) == expected, (reps, dict(counts))
 
 
-class _CountingDraws:
-    """Passes a cell's draws through, logging the shape of each normal draw
-    and the size of each chi-square draw."""
+class _CountingRng:
+    """Passes a generator's draws through, logging the shape of each normal
+    draw into ``normals`` and the size of each chi-square draw into
+    ``chisquares``."""
 
-    def __init__(self, draws):
-        self.draws, self.sigma = draws, draws.sigma
-        self.normals, self.chisquares = [], []
+    def __init__(self, rng, normals, chisquares):
+        self.rng, self.normals, self.chisquares = rng, normals, chisquares
 
-    def __call__(self, out, i):
-        self.normals.append(out.shape)
-        return self.draws(out, i)
+    def standard_normal(self, size):
+        self.normals.append(size)
+        return self.rng.standard_normal(size)
 
-    def chisquare(self, df, i, size=None):
+    def chisquare(self, df, size=None):
         self.chisquares.append(size)
-        return self.draws.chisquare(df, i, size)
+        return self.rng.chisquare(df, size)
 
 
 # Median of means: split the samples into _BLOCKS blocks of m and take the
@@ -278,16 +258,14 @@ class TestCellBaseline:
         # three cases, so the test fails falsely with probability below
         # 108 · 1.7e-9 < 2e-7.
         sigma = 1.5
-        spec = NoiseSpec(sigma, 2024)
         df = shape[0] * shape[1] * (w0 - 1)
         cells = _BLOCKS * 200
-        draws = _cell_noise(spec, ((CELL_BASELINE_TAG,), range(2 * cells)))
-        drawn = [_cell_baseline(draws, shape, w0, 2 * j) for j in range(cells)]
+        drawn = [_cell_baseline(NoiseSpec(sigma, seed), shape, w0) for seed in range(cells)]
         cells = _BLOCKS * 40
-        noise = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(w0 * cells)))
+        rng = np.random.Generator(np.random.Philox(2024))
         fitted = [
-            fit_baseline(noise(np.empty(shape), w0 * j + k) for k in range(w0))
-            for j in range(cells)
+            fit_baseline(sigma * rng.standard_normal(shape) for _ in range(w0))
+            for _ in range(cells)
         ]
         for name, baselines in (("drawn", drawn), ("fit_baseline", fitted)):
             s2 = np.array([b.sigma2_hat for b in baselines])
@@ -332,12 +310,11 @@ class TestShiftedTotals:
         n = a.size
         spec = NoiseSpec(sigma, 2025)
         count = _BLOCKS * 200
-        draws = _cell_noise(spec, ((CELL_BASELINE_TAG,), range(2)), ((CELL_STATS_TAG,), range(2)))
-        mu0_hat = _cell_baseline(draws, a.shape, w0, 0).mu0_hat
-        drawn = _shifted_totals(draws, a - mu0_hat, count, 2)
-        noise = _cell_noise(spec, ((STREAM_FRAME_TAG,), range(count)))
-        e = np.empty(a.shape)
-        real = np.array([matrix_stats(a + noise(e, k) - mu0_hat)[:2] for k in range(count)]).T
+        mu0_hat = _cell_baseline(spec, a.shape, w0).mu0_hat
+        drawn = _shifted_totals(spec, a - mu0_hat, count)
+        rng = np.random.Generator(np.random.Philox(2025))
+        noise = sigma * rng.standard_normal((count,) + a.shape)
+        real = np.array([matrix_stats(a + e - mu0_hat)[:2] for e in noise]).T
 
         b = [float(v) for v in (a - mu0_hat).ravel()]
         big_s, big_b = math.fsum(b), math.fsum(v * v for v in b)
@@ -366,9 +343,8 @@ class TestShiftedTotals:
         # a blank residual with vanishing noise none above the smallest
         # normal float: the cell refuses both rather than read them.
         for sigma, b in ((1e200, np.ones((2, 3))), (1e-200, np.zeros((2, 3)))):
-            draws = _cell_noise(NoiseSpec(sigma, 1), ((CELL_STATS_TAG,), range(2)))
             with pytest.raises(ValueError, match="normal float range"):
-                _shifted_totals(draws, b, 4, 0)
+                _shifted_totals(NoiseSpec(sigma, 1), b, 4)
         # Such a noise level fails the cell's baseline first, as a bad
         # input, not as an arithmetic error.
         with pytest.raises(ValueError, match="sigma2_hat must be finite"):
@@ -484,19 +460,18 @@ class TestSweepDrivers:
         # scalars: a (2, n_ooc) block of normals and two chi-square draws,
         # one for sigma2_hat and n_ooc for the residuals. None of it grows
         # with w0, and only the scalars grow with n_ooc.
-        made = []
-        original = simulate._cell_noise
+        cells = {}
+        original = simulate._rng
 
-        def counting(*args):
-            made.append(_CountingDraws(original(*args)))
-            return made[-1]
+        def counting(seed, *key):
+            return _CountingRng(original(seed, *key), *cells.setdefault(seed, ([], [])))
 
-        monkeypatch.setattr(simulate, "_cell_noise", counting)
+        monkeypatch.setattr(simulate, "_rng", counting)
         for w0, n_ooc in ((20, 10), (200, 10), (20, 40)):
-            made.clear()
+            cells.clear()
             run_robustness([1.0, 2.0], "dense", 5, w0=w0, n_ooc=n_ooc, dims=(10, 20))
             cell = ([(10, 20), (2, n_ooc)], [None, n_ooc])
-            assert [(d.normals, d.chisquares) for d in made] == [cell, cell], (w0, n_ooc)
+            assert list(cells.values()) == [cell, cell], (w0, n_ooc)
 
     def test_cells_emit_no_mixed_sign_warning(self):
         # A cell reads only each residual's sum and sum of squares, so even
