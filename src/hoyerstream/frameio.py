@@ -1,9 +1,11 @@
 """Disk formats: CSV matrices, PGM grayscale frames, frame directories, and
 the series/report writers.
 
-Readers never guess: ragged rows, non-numeric fields, bad magic bytes,
-truncated payloads, and mismatched frame sizes are all hard errors naming
-the file (and line/column where that makes sense). Writers are byte-stable:
+Readers never guess: ragged rows, non-numeric fields (digit grouping such
+as ``1_0`` and non-ASCII digits included), PGM header fields and P2 samples
+that are not plain ASCII digits, bad magic bytes, truncated payloads, and
+mismatched frame sizes are all hard errors naming the file (and
+line/column where that makes sense). Writers are byte-stable:
 the same values always produce the same bytes. Readings go to disk only
 through ``series_row``, the one rendering of a ``SparsityReading`` as a
 series CSV row, which both the series file and ``index --baseline`` use.
@@ -31,8 +33,9 @@ _PGM_MAX_MAXVAL = 65535
 def series_row(reading: SparsityReading) -> str:
     """One series CSV row of ``reading``, in ``SERIES_COLUMNS`` order.
 
-    Floats are rendered with shortest round-trip precision (``repr``), so
-    the same reading always gives the same bytes. A non-finite value is a
+    Floats are rendered with shortest round-trip precision
+    (``repr(float(v))``, so a NumPy scalar renders as the float it holds),
+    and the same reading always gives the same bytes. A non-finite value is a
     ValueError naming its column.
     """
     m = reading.moments
@@ -41,7 +44,7 @@ def series_row(reading: SparsityReading) -> str:
     for name, v in zip(SERIES_COLUMNS[1:], values):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite")
-    return ",".join([str(reading.t)] + [repr(v) for v in values])
+    return ",".join([str(reading.t)] + [repr(float(v)) for v in values])
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -61,6 +64,10 @@ def read_matrix_csv(path) -> np.ndarray:
             values = []
             for col, field in enumerate(fields, start=1):
                 try:
+                    # Python's float() also takes digit grouping ("1_0")
+                    # and non-ASCII digits, which no CSV writer means.
+                    if "_" in field or not field.isascii():
+                        raise ValueError(field)
                     v = float(field)
                 except ValueError:
                     raise FrameFormatError(
@@ -113,6 +120,14 @@ def _pgm_tokens(data: bytes, path: Path):
     raise FrameFormatError(f"{path}: truncated header")
 
 
+def _pgm_ints(tokens) -> list[int]:
+    """PGM decimal fields as ints. ValueError unless each is ASCII digits
+    only: ``int`` alone would also take a sign and digit grouping ("1_0")."""
+    if not all(t.isdigit() for t in tokens):
+        raise ValueError("PGM fields are ASCII digits")
+    return [int(t) for t in tokens]
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a P2 (ASCII) or P5 (binary) grayscale PGM as raw intensities.
 
@@ -137,7 +152,7 @@ def read_pgm(path) -> np.ndarray:
     if len(header) < 3:
         raise FrameFormatError(f"{path}: truncated header")
     try:
-        width, height, maxval = (int(t) for t in header)
+        width, height, maxval = _pgm_ints(header)
     except ValueError:
         raise FrameFormatError(f"{path}: non-integer header fields {header!r}") from None
     if width < 1 or height < 1:
@@ -147,7 +162,7 @@ def read_pgm(path) -> np.ndarray:
 
     if magic == b"P2":
         try:
-            values = [int(t) for t in data[end:].split()]
+            values = _pgm_ints(data[end:].split())
         except ValueError:
             raise FrameFormatError(f"{path}: non-integer pixel data") from None
         if len(values) != width * height:

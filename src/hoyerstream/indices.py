@@ -10,8 +10,11 @@ subtracts it. All functions here are pure and safe to call from any thread.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +49,27 @@ def as_image_matrix(x, *, min_entries: int = 1) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+# Elementwise primitives of the reading formulas. Each takes floats or NumPy
+# arrays (the first argument decides): the builtins and ``math`` on floats,
+# so one reading runs plain float arithmetic, and NumPy on arrays, so k
+# readings take one array pass. The two agree bit for bit on every value a
+# reading can take (tests/test_indices.py::TestReadingsFromTotals).
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _max(x, y):
+    return np.maximum(x, y) if isinstance(x, np.ndarray) else max(x, y)
+
+
+def _min(x, y):
+    return np.minimum(x, y) if isinstance(x, np.ndarray) else min(x, y)
+
+
+def _where(cond, x, y):
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
 @dataclass(frozen=True)
 class SignalMoments:
     """Scalar summaries of a shift buried in noise.
@@ -60,21 +84,52 @@ class SignalMoments:
     sigma2: float
 
     def __post_init__(self):
-        for name in ("a_bar", "a2_bar", "sigma2"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.a_bar < 0.0:
-            raise ValueError(f"a_bar must be >= 0, got {self.a_bar!r}")
-        if self.a2_bar <= 0.0:
-            raise ValueError(f"a2_bar must be > 0, got {self.a2_bar!r}")
-        if self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2!r}")
-        if self.a_bar * self.a_bar > self.a2_bar * (1.0 + _CS_SLACK):
-            raise ValueError(
-                f"inconsistent moments: a_bar**2 = {self.a_bar ** 2!r} exceeds "
-                f"a2_bar = {self.a2_bar!r}"
-            )
+        _check_moments(self.a_bar, self.a2_bar, self.sigma2)
+
+
+def _check_moments(a_bar, a2_bar, sigma2):
+    """Raise ValueError unless the moments keep the ``SignalMoments``
+    contract. Takes floats, or arrays of k readings (a float ``sigma2`` is
+    shared by all), and names the first bad reading's first broken check.
+    Plain comparisons, so float moments cost no NumPy call (NaN fails them
+    all, and |v| < inf is the finiteness test)."""
+    kept = (
+        abs(a_bar) < math.inf,
+        abs(a2_bar) < math.inf,
+        abs(sigma2) < math.inf,
+        a_bar >= 0.0,
+        a2_bar > 0.0,
+        sigma2 >= 0.0,
+        a_bar * a_bar <= a2_bar * (1.0 + _CS_SLACK),
+    )
+    ok = functools.reduce(operator.and_, kept)
+    if ok.all() if isinstance(ok, np.ndarray) else ok:
+        return
+    first = np.flatnonzero(~np.asarray(ok))[0]
+
+    def at(v):
+        """``v`` at the first bad reading, a NumPy value as a float."""
+        if isinstance(v, (np.ndarray, np.generic)):
+            return float(v[first] if v.ndim else v)
+        return v
+
+    def squared(v):
+        try:
+            return v**2
+        except OverflowError:  # a float past 1.34e154
+            return math.inf
+
+    a, a2, s2 = at(a_bar), at(a2_bar), at(sigma2)
+    messages = (
+        lambda: f"a_bar must be finite, got {a!r}",
+        lambda: f"a2_bar must be finite, got {a2!r}",
+        lambda: f"sigma2 must be finite, got {s2!r}",
+        lambda: f"a_bar must be >= 0, got {a!r}",
+        lambda: f"a2_bar must be > 0, got {a2!r}",
+        lambda: f"sigma2 must be >= 0, got {s2!r}",
+        lambda: f"inconsistent moments: a_bar**2 = {squared(a)!r} exceeds a2_bar = {a2!r}",
+    )
+    raise ValueError(next(m for flags, m in zip(kept, messages) if not at(flags))())
 
 
 def hoyer_index(x, *, clip: bool = True) -> float:
@@ -114,21 +169,26 @@ def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = 
     return hoyer_from_totals(s, ss, m.size, clip=clip)
 
 
-def hoyer_from_totals(s: float, ss: float, n: int, *, clip: bool = True) -> float:
+def hoyer_from_totals(s, ss, n: int, *, clip: bool = True):
     """Index of n >= 2 entries from their sum ``s`` and sum of squares
-    ``ss``: the one index formula, for a matrix's totals or drawn ones.
+    ``ss``: the one index formula, elementwise over floats or arrays of
+    totals (a matrix's or drawn ones).
 
-    ``ss`` == 0 reads 1 (the blank-frame convention). No rescaling happens
-    here: totals whose ``ss`` over- or underflowed go through
-    ``hoyer_from_matrix_stats``, which holds the matrix.
+    ``ss`` == 0 reads 1 (the blank-frame convention): the formula divides
+    by 1 there, not 0. No rescaling happens here: totals whose ``ss``
+    over- or underflowed go through ``hoyer_from_matrix_stats``, which
+    holds the matrix.
     """
-    if ss == 0.0:
-        return 1.0
     root_n = math.sqrt(n)
-    h = (root_n - abs(s) / math.sqrt(ss)) / (root_n - 1.0)
-    if clip:
-        return min(max(h, 0.0), 1.0)
-    return h
+    blank = ss == 0.0
+    h = (root_n - abs(s) / _sqrt(_where(blank, 1.0, ss))) / (root_n - 1.0)
+    h = _where(blank, 1.0, h)
+    return _unit_clamp(h) if clip else h
+
+
+def _unit_clamp(x):
+    """``x`` clamped to [0, 1], elementwise; NaN stays NaN."""
+    return _min(_max(x, 0.0), 1.0)
 
 
 def noise_bias(moments: SignalMoments) -> float:
@@ -141,10 +201,12 @@ def noise_bias(moments: SignalMoments) -> float:
     is non-decreasing in sigma2, zero at sigma2 = 0 or a_bar = 0, and
     bounded by a_bar / sqrt(a2_bar) (approached as sigma2 -> infinity).
     """
-    return moments.a_bar * (
-        1.0 / math.sqrt(moments.a2_bar)
-        - 1.0 / math.sqrt(moments.a2_bar + moments.sigma2)
-    )
+    return float(_noise_bias(moments.a_bar, moments.a2_bar, moments.sigma2))
+
+
+def _noise_bias(a_bar, a2_bar, sigma2):
+    """``noise_bias`` elementwise over moments (floats or arrays)."""
+    return a_bar * (1.0 / _sqrt(a2_bar) - 1.0 / _sqrt(a2_bar + sigma2))
 
 
 def corrected_hoyer(h_raw: float, moments: SignalMoments) -> float:
@@ -157,7 +219,13 @@ def corrected_hoyer(h_raw: float, moments: SignalMoments) -> float:
     """
     if not (0.0 <= h_raw <= 1.0):
         raise ValueError(f"h_raw must lie in [0, 1], got {h_raw!r}")
-    return min(max(h_raw - noise_bias(moments), 0.0), 1.0)
+    return float(_correct(h_raw, noise_bias(moments))[1])
+
+
+def _correct(h_raw, bias):
+    """(h_raw - bias, and that clamped to [0, 1]), elementwise."""
+    unclamped = h_raw - bias
+    return unclamped, _unit_clamp(unclamped)
 
 
 def moment_floor(sigma2_hat: float) -> float:
@@ -166,22 +234,67 @@ def moment_floor(sigma2_hat: float) -> float:
     return max(1e-12 * sigma2_hat, 1e-300)
 
 
+def _entry_means(s, ss, n: int):
+    """Mean magnitude |s| / n and mean square ss / n of n entries from
+    their sum ``s`` and sum of squares ``ss`` (floats or arrays)."""
+    return abs(s) / n, ss / n
+
+
 def moments_from_stats(
     s: float, ss: float, n: int, sigma2_hat: float, mode: str = "debias"
 ) -> SignalMoments:
     """Moment estimates from a precomputed entry sum and sum of squares."""
+    a_bar, a2_bar = _moments_of_totals(s, ss, n, sigma2_hat, mode)
+    return SignalMoments(a_bar=float(a_bar), a2_bar=float(a2_bar), sigma2=sigma2_hat)
+
+
+def _moments_of_totals(s, ss, n: int, sigma2_hat: float, mode: str):
+    """(a_bar, a2_bar) elementwise over totals (floats or arrays), checked
+    against the ``SignalMoments`` contract."""
     if mode not in MOMENT_MODES:
         raise ValueError(f"mode must be one of {MOMENT_MODES}, got {mode!r}")
     if not math.isfinite(sigma2_hat) or sigma2_hat < 0.0:
         raise ValueError(f"sigma2_hat must be finite and >= 0, got {sigma2_hat!r}")
-    a_bar = abs(s) / n
-    raw_square = ss / n
+    a_bar, raw_square = _entry_means(s, ss, n)
     floor = moment_floor(sigma2_hat)
     if mode == "literal":
-        a2_bar = max(raw_square, floor)
+        a2_bar = _max(raw_square, floor)
     else:
-        a2_bar = max(raw_square - sigma2_hat, a_bar * a_bar, floor)
-    return SignalMoments(a_bar=a_bar, a2_bar=a2_bar, sigma2=sigma2_hat)
+        a2_bar = _max(_max(raw_square - sigma2_hat, a_bar * a_bar), floor)
+    _check_moments(a_bar, a2_bar, sigma2_hat)
+    return a_bar, a2_bar
+
+
+class TotalsReadings(NamedTuple):
+    """Corrected readings of k residuals, one array element each (floats
+    for a single reading)."""
+
+    h_raw: np.ndarray
+    a_bar: np.ndarray
+    a2_bar: np.ndarray
+    bias: np.ndarray
+    g_unclamped: np.ndarray
+    g: np.ndarray
+
+
+def readings_from_totals(
+    s, ss, n: int, sigma2_hat: float, mode: str = "debias", h_raw=None
+) -> TotalsReadings:
+    """Corrected readings of k residuals of n >= 2 entries each from their
+    entry sums ``s`` and sums of squares ``ss`` (arrays of k, or floats), in
+    one pass over the arrays: the raw index (``hoyer_from_totals``), the
+    moments (``moments_from_stats``), the bias (``noise_bias``) and the
+    correction (``corrected_hoyer``), bit for bit.
+
+    A caller holding the matrix passes the ``h_raw`` it read from it,
+    which stays right when ``ss`` over- or underflowed. Raises ValueError
+    as ``moments_from_stats`` does, for the first bad reading.
+    """
+    if h_raw is None:
+        h_raw = hoyer_from_totals(s, ss, n)
+    a_bar, a2_bar = _moments_of_totals(s, ss, n, sigma2_hat, mode)
+    bias = _noise_bias(a_bar, a2_bar, sigma2_hat)
+    return TotalsReadings(h_raw, a_bar, a2_bar, bias, *_correct(h_raw, bias))
 
 
 def estimate_moments(r, sigma2_hat: float, mode: str = "debias") -> SignalMoments:

@@ -47,9 +47,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indices import SignalMoments, as_image_matrix, hoyer_index, noise_bias
+from .indices import (
+    SignalMoments,
+    _entry_means,
+    as_image_matrix,
+    hoyer_index,
+    noise_bias,
+    readings_from_totals,
+)
 from .kernels import matrix_stats
-from .stream import BaselineModel, _reading_from_stats
+from .stream import BaselineModel
 
 # Domain tags keep sub-streams of different uses disjoint. Part of the
 # reproducibility contract: cell seed = subseed(master, tag, value_key,
@@ -272,27 +279,35 @@ def _cell_band(anomaly, h_true, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
 
     No frame is made but the baseline's one: the baseline is drawn from its
     exact law (``_cell_baseline``), and so are the two totals of each
-    shifted residual (``_shifted_totals``), which ``_reading_from_stats``
-    reads as the frame path reads a residual's totals. The readings are
+    shifted residual (``_shifted_totals``). The cell reads all its totals
+    in one array pass of ``readings_from_totals``, the formula the frame
+    path reads a residual's totals with, bit for bit. The readings are
     those of the frames at positions w0 .. w0 + n_ooc - 1 of a simulated
     stream in law, not in bits. A cell reads no positive mass, so it emits
     no ``MixedSignWarning``.
     """
     baseline = _cell_baseline(spec, anomaly.shape, w0)
     s, ss = _shifted_totals(spec, anomaly - baseline.mu0_hat, n_ooc)
-    errors = [
-        abs(_reading_from_stats(s_k, ss_k, anomaly.size, baseline.sigma2_hat, mode, k).g - h_true)
-        for k, (s_k, ss_k) in enumerate(zip(s.tolist(), ss.tolist()), start=1)
-    ]
-    return error_band(errors)
+    g = readings_from_totals(s, ss, anomaly.size, baseline.sigma2_hat, mode).g
+    return error_band(np.abs(g - h_true))
+
+
+def _median(values) -> float:
+    """Median of a non-empty sequence of floats, with ``np.median``'s bits:
+    the middle element for an odd count, the mean (a + b) / 2 of the middle
+    two for an even one. Unlike ``np.median``, it does not import
+    ``numpy.ma`` (10-20 ms of a sweep's start-up)."""
+    v = sorted(values)
+    mid = len(v) // 2
+    return float(v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2)
 
 
 def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
     if len(bands) == 1:
         return bands[0]
     return ErrorBand(
-        m_eps=float(np.median([b.m_eps for b in bands])),
-        sigma_eps=float(np.median([b.sigma_eps for b in bands])),
+        m_eps=_median([b.m_eps for b in bands]),
+        sigma_eps=_median([b.sigma_eps for b in bands]),
     )
 
 
@@ -402,7 +417,7 @@ def exact_moments(anomaly, sigma: float) -> SignalMoments:
     """Moments of a known anomaly matrix: (|sum|/n, ||A||_F^2/n, sigma^2)."""
     a = as_image_matrix(anomaly)
     s, ss, _ = matrix_stats(a)
-    return SignalMoments(a_bar=abs(s) / a.size, a2_bar=ss / a.size, sigma2=sigma * sigma)
+    return SignalMoments(*_entry_means(s, ss, a.size), sigma2=sigma * sigma)
 
 
 def verify_bias_theorem(
@@ -477,7 +492,7 @@ def verify_noise_sparsity_decay(
             1.0 - hoyer_index(sample_noise(p1, p2, spec, DECAY_CHECK_TAG, n, rep), clip=False)
             for rep in range(reps)
         ]
-        med = float(np.median(gaps))
+        med = _median(gaps)
         rows.append(
             {
                 "p1": p1,

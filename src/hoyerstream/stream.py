@@ -28,11 +28,10 @@ import numpy as np
 from .errors import DimensionError, MixedSignWarning
 from .indices import (
     SignalMoments,
+    _correct,
     as_image_matrix,
     hoyer_from_matrix_stats,
-    hoyer_from_totals,
-    moments_from_stats,
-    noise_bias,
+    readings_from_totals,
 )
 from .kernels import matrix_stats
 
@@ -58,6 +57,9 @@ class BaselineModel:
         object.__setattr__(self, "mu0_hat", mu)
         if not math.isfinite(self.sigma2_hat) or self.sigma2_hat < 0.0:
             raise ValueError(f"sigma2_hat must be finite and >= 0, got {self.sigma2_hat!r}")
+        # A NumPy scalar (from ``np.var``, say) would reach the readings and
+        # render as ``np.float64(...)`` in a series row.
+        object.__setattr__(self, "sigma2_hat", float(self.sigma2_hat))
         if self.w0 < 2:
             raise ValueError(f"w0 must be >= 2, got {self.w0!r}")
 
@@ -82,9 +84,9 @@ class SparsityReading:
     g_unclamped: float = field(init=False)
 
     def __post_init__(self):
-        unclamped = self.h_raw - self.bias
-        object.__setattr__(self, "g_unclamped", unclamped)
-        object.__setattr__(self, "g", min(max(unclamped, 0.0), 1.0))
+        unclamped, g = _correct(self.h_raw, self.bias)
+        object.__setattr__(self, "g_unclamped", float(unclamped))
+        object.__setattr__(self, "g", float(g))
 
 
 def _checked_frames(frames, count: int | None = None):
@@ -178,26 +180,20 @@ def residual(x, baseline: BaselineModel) -> np.ndarray:
 def _reading_from_residual(
     r: np.ndarray, sigma2_hat: float, mode: str, t: int
 ) -> SparsityReading:
+    """Corrected reading of the residual ``r``: the one-reading case of
+    ``readings_from_totals``, which a simulation cell runs over all its
+    totals in one array pass. The raw index is read from ``r`` itself, so
+    it stays right when the sum of squares over- or underflowed."""
     if r.size < 2:
         raise DimensionError("index needs at least 2 entries per frame")
     s, ss, pos = matrix_stats(r)
     _warn_if_mixed_sign(s, pos)
-    return _reading_from_stats(
-        s, ss, r.size, sigma2_hat, mode, t, h_raw=hoyer_from_matrix_stats(r, s, ss)
+    h_raw = hoyer_from_matrix_stats(r, s, ss)
+    reading = readings_from_totals(s, ss, r.size, sigma2_hat, mode, h_raw)
+    moments = SignalMoments(
+        a_bar=float(reading.a_bar), a2_bar=float(reading.a2_bar), sigma2=sigma2_hat
     )
-
-
-def _reading_from_stats(
-    s: float, ss: float, n: int, sigma2_hat: float, mode: str, t: int, h_raw=None
-) -> SparsityReading:
-    """Corrected reading of a residual of n entries from its entry sum ``s``
-    and sum of squares ``ss`` alone. The raw index is ``hoyer_from_totals``
-    of them unless the caller, holding the matrix, passes ``h_raw`` read
-    from it (which stays right when ``ss`` over- or underflowed)."""
-    if h_raw is None:
-        h_raw = hoyer_from_totals(s, ss, n)
-    moments = moments_from_stats(s, ss, n, sigma2_hat, mode)
-    return SparsityReading(t=t, h_raw=h_raw, bias=noise_bias(moments), moments=moments)
+    return SparsityReading(t=t, h_raw=h_raw, bias=float(reading.bias), moments=moments)
 
 
 def corrected_reading(

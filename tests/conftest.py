@@ -32,6 +32,30 @@ def bias_oracle(a_bar: float, a2_bar: float, sigma2: float) -> float:
     )
 
 
+def totals_reading_oracle(s, ss, n, sigma2, mode, h_raw=None):
+    """(h_raw, a_bar, a2_bar, bias, g_unclamped, g) of one residual from
+    its totals, in plain float arithmetic with ``math.sqrt`` and the
+    builtin min/max: the scalar formulas the readings have always been
+    computed by, so an array evaluation must match them bit for bit. A
+    caller's ``h_raw`` replaces the index, as a frame reading's does."""
+    if h_raw is None:
+        if ss == 0.0:
+            h_raw = 1.0
+        else:
+            root_n = math.sqrt(n)
+            h = (root_n - abs(s) / math.sqrt(ss)) / (root_n - 1.0)
+            h_raw = min(max(h, 0.0), 1.0)
+    a_bar = abs(s) / n
+    floor = max(1e-12 * sigma2, 1e-300)
+    if mode == "literal":
+        a2_bar = max(ss / n, floor)
+    else:
+        a2_bar = max(ss / n - sigma2, a_bar * a_bar, floor)
+    bias = a_bar * (1.0 / math.sqrt(a2_bar) - 1.0 / math.sqrt(a2_bar + sigma2))
+    g_unclamped = h_raw - bias
+    return h_raw, a_bar, a2_bar, bias, g_unclamped, min(max(g_unclamped, 0.0), 1.0)
+
+
 def welford_oracle(values):
     """Streaming mean/std (n-1) via Welford's recurrence."""
     mean = 0.0

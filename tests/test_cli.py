@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hoyerstream
 from hoyerstream import (
     MOMENT_MODES,
     NoiseSpec,
@@ -144,6 +148,29 @@ class TestSimulate:
         report = json.loads(open("c.json").read())
         assert [cell["c"] for cell in report["cells"]] == [10, 20]
         assert open("cplot.csv").read().splitlines()[0] == "x,m_eps,lo,hi"
+
+
+_SWEEP_MODULES = (
+    "import sys\n"
+    "from hoyerstream import cli\n"
+    "code = cli.main(['simulate', 'consistency', '--kind', 'sparse', '--cs', '10', '20',\n"
+    "                 '--w0', '20', '--n-ooc', '10', '--replicates', '3', '--out', 'r.json'])\n"
+    "print(code, 'numpy.ma' in sys.modules)\n"
+)
+
+
+def test_replicate_sweep_does_not_import_numpy_ma(tmp_path):
+    # The replicate medians are taken without np.median, which imports
+    # numpy.ma on first use (about 20 ms of a fresh process). A fresh
+    # interpreter, so no other test has imported it first.
+    src = str(Path(hoyerstream.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _SWEEP_MODULES],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
 
 
 class TestMonitor:

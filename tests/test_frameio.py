@@ -22,6 +22,7 @@ from hoyerstream import (
 from hoyerstream.frameio import (
     SERIES_COLUMNS,
     iter_frames,
+    series_row,
     load_matrix,
     read_frame_dir,
     read_matrix_csv,
@@ -231,6 +232,23 @@ class TestSeriesCsv:
         assert not p.exists()
 
 
+    def test_numpy_scalars_render_as_floats(self):
+        # sigma2_hat from np.var is a NumPy scalar, whose repr under
+        # NumPy 2 is "np.float64(...)"; a row holds only plain floats.
+        frame = sample_noise(20, 30, NoiseSpec(1.0, 3))
+        plain = BaselineModel(np.zeros((20, 30)), 0.25, 10)
+        numpy_scalar = BaselineModel(np.zeros((20, 30)), np.float64(0.25), 10)
+        assert type(numpy_scalar.sigma2_hat) is float
+        row = series_row(corrected_reading(frame, numpy_scalar, t=4))
+        assert "np." not in row
+        assert row == series_row(corrected_reading(frame, plain, t=4))
+        reading = SparsityReading(
+            t=0, h_raw=np.float64(0.5), bias=np.float64(0.125),
+            moments=SignalMoments(np.float64(0.5), np.float64(1.0), np.float64(2.0)),
+        )
+        assert series_row(reading) == "0,0.5,0.125,0.375,0.375,0.5,1.0,2.0"
+
+
 class TestReportJson:
     def test_byte_identical_and_sorted(self, tmp_path):
         report = {"b": [1, 2], "a": {"z": 0.1, "y": [0.2]}}
@@ -376,3 +394,33 @@ def test_reader_defects_found_by_fuzzing(tmp_path, name, content, message):
     p.write_bytes(content)
     with pytest.raises(FrameFormatError, match=message):
         load_matrix(p)
+
+
+_NOT_PLAIN_DIGITS = [
+    ("grouped_header.pgm", b"P2\n2 1_0\n255\n" + b"0 " * 20, "non-integer header fields"),
+    ("signed_header.pgm", b"P2\n+2 1\n255\n0 0\n", "non-integer header fields"),
+    ("grouped_p5_header.pgm", b"P5\n1_0 1\n255\n" + bytes(10), "non-integer header fields"),
+    ("grouped_sample.pgm", b"P2\n2 1\n255\n1_2 3\n", "non-integer pixel data"),
+    ("signed_sample.pgm", b"P2\n2 1\n255\n+1 3\n", "non-integer pixel data"),
+    ("grouped_field.csv", b"1.0,2.0\n3.0,1_0\n", "line 2, column 2: non-numeric field '1_0'"),
+    ("wide_digit.csv", "1.0,\uff11\n".encode("utf-8"), "line 1, column 2: non-numeric"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, content, message", _NOT_PLAIN_DIGITS, ids=[case[0] for case in _NOT_PLAIN_DIGITS]
+)
+def test_readers_take_plain_digits_only(tmp_path, name, content, message):
+    # Python's int() and float() also read digit grouping ("1_0" as 10),
+    # a leading "+" and non-ASCII digits; the readers refuse them.
+    p = tmp_path / name
+    p.write_bytes(content)
+    with pytest.raises(FrameFormatError, match=message) as info:
+        load_matrix(p)
+    assert name in str(info.value)
+
+
+def test_csv_keeps_plain_signed_and_exponent_fields(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("+1.5,-2e3,.5,5.\n")
+    assert read_matrix_csv(p).tolist() == [[1.5, -2000.0, 0.5, 5.0]]

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hoyerstream import (
+    MOMENT_MODES,
     DimensionError,
     NoiseSpec,
     SignalMoments,
+    SparsityReading,
     corrected_hoyer,
     estimate_moments,
     hoyer_index,
@@ -20,9 +22,14 @@ from hoyerstream import (
     noise_bias,
     sample_noise,
 )
-from hoyerstream.indices import moment_floor
+from hoyerstream.indices import (
+    hoyer_from_totals,
+    moment_floor,
+    moments_from_stats,
+    readings_from_totals,
+)
 
-from conftest import bias_oracle, hoyer_oracle, pure_noise_index_cdf
+from conftest import bias_oracle, hoyer_oracle, pure_noise_index_cdf, totals_reading_oracle
 
 # Frozen from the brute-force fsum oracle (see conftest.hoyer_oracle).
 DENSE_H = 0.19962785637227268
@@ -264,3 +271,139 @@ class TestEstimateMoments:
         for mode in ("literal", "debias"):
             m = estimate_moments(x, sigma2, mode)
             assert m.a_bar * m.a_bar <= m.a2_bar * (1.0 + 1e-9)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+def _scalar_reading(s, ss, n, sigma2, mode, h_raw=None):
+    """(h_raw, a_bar, a2_bar, bias, g_unclamped, g) of one reading through
+    the public scalar formulas; raises as they do."""
+    moments = moments_from_stats(s, ss, n, sigma2, mode)
+    bias = noise_bias(moments)
+    if h_raw is None:
+        h_raw = hoyer_from_totals(s, ss, n)
+    reading = SparsityReading(t=0, h_raw=h_raw, bias=bias, moments=moments)
+    if 0.0 <= h_raw <= 1.0:
+        assert _bits(corrected_hoyer(h_raw, moments)) == _bits(reading.g)
+    return h_raw, moments.a_bar, moments.a2_bar, bias, reading.g_unclamped, reading.g
+
+
+def _assert_array_pass_matches(s, ss, n, sigma2, mode, h_raw=None):
+    """``readings_from_totals`` over the k totals equals the scalar
+    formulas, and the plain-float oracle, element by element and bit for
+    bit; or raises the scalar message of the first bad reading."""
+    expected, error = [], None
+    for k in range(len(s)):
+        h_k = None if h_raw is None else h_raw[k]
+        try:
+            expected.append(_scalar_reading(s[k], ss[k], n, sigma2, mode, h_k))
+        except ValueError as e:
+            error = str(e)
+            break
+        want = [_bits(v) for v in expected[-1]]
+        assert [_bits(v) for v in totals_reading_oracle(s[k], ss[k], n, sigma2, mode, h_k)] == want
+    args = (np.array(s), np.array(ss), n, sigma2, mode, None if h_raw is None else np.array(h_raw))
+    if error is not None:
+        with pytest.raises(ValueError) as info:
+            readings_from_totals(*args)
+        assert str(info.value) == error
+        return None
+    got = readings_from_totals(*args)
+    for k, want in enumerate(expected):
+        assert [_bits(v[k]) for v in got] == [_bits(v) for v in want], k
+    return got
+
+
+@st.composite
+def _totals_batches(draw):
+    """k readings' (s, ss) sharing n, sigma2 and mode, plus an optional
+    caller ``h_raw`` each. ss is n·sigma2 times a ratio in [0, 3] (any
+    scale when sigma2 = 0), so the debias mean square lands on each of its
+    branches; s is t·sqrt(n·ss) with |t| up to 1.2, past Cauchy-Schwarz,
+    so literal readings can break the moment contract. A caller's h_raw
+    may lie outside [0, 1], so g is clamped at both ends."""
+    n = draw(st.integers(2, 10**6))
+    sigma2 = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)))
+    mode = draw(st.sampled_from(MOMENT_MODES))
+    k = draw(st.integers(1, 12))
+    s, ss = [], []
+    for _ in range(k):
+        scale = sigma2 if sigma2 > 0.0 else draw(st.floats(1e-6, 1e6))
+        ss_k = n * scale * draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+        s.append(draw(st.floats(-1.2, 1.2)) * math.sqrt(n * ss_k))
+        ss.append(ss_k)
+    # -0.0 is mapped to 0.0: the index never reads -0.0, and the clamp
+    # takes it to 0.0 where the builtin max kept it.
+    h_values = st.floats(-0.5, 1.5).map(lambda x: x + 0.0)
+    h_raw = draw(st.none() | st.lists(h_values, min_size=k, max_size=k))
+    return s, ss, n, sigma2, mode, h_raw
+
+
+class TestReadingsFromTotals:
+    @given(_totals_batches())
+    @settings(max_examples=400, deadline=None)
+    def test_array_pass_is_the_scalar_formulas(self, batch):
+        _assert_array_pass_matches(*batch)
+
+    # (s, ss, n, sigma2, mode, h_raw): one case per branch of the index,
+    # the moments and the clamp.
+    BRANCHES = {
+        "blank_frame": (0.0, 0.0, 100, 1.0, "debias", None),
+        "no_noise": (30.0, 50.0, 100, 0.0, "debias", None),
+        "signal": (50.0, 500.0, 100, 1.0, "debias", None),
+        "mean_floor": (90.0, 100.0, 100, 0.5, "debias", None),
+        "positivity_floor": (0.0, 50.0, 100, 1.0, "debias", None),
+        "literal": (50.0, 500.0, 100, 1.0, "literal", None),
+        "clamped_at_0": (95.0, 100.0, 100, 0.5, "debias", None),
+        "clamped_at_1": (30.0, 50.0, 100, 0.0, "debias", 1.25),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BRANCHES))
+    def test_each_branch(self, name):
+        s, ss, n, sigma2, mode, h_raw = self.BRANCHES[name]
+        # The same case three times over, so the array path is exercised
+        # with k > 1 and with broadcasting against the shared sigma2.
+        r = _assert_array_pass_matches(
+            [s] * 3, [ss] * 3, n, sigma2, mode, None if h_raw is None else [h_raw] * 3
+        )
+        h, a_bar, a2_bar, bias, unclamped, g = (float(v[0]) for v in r)
+        floor = moment_floor(sigma2)
+        fired = {
+            "blank_frame": ss == 0.0 and h == 1.0 and a2_bar == floor,
+            "no_noise": sigma2 == 0.0 and bias == 0.0 and g == h,
+            "signal": a2_bar == ss / n - sigma2 > max(a_bar * a_bar, floor),
+            "mean_floor": a2_bar == a_bar * a_bar > max(ss / n - sigma2, floor),
+            "positivity_floor": a2_bar == floor > max(ss / n - sigma2, a_bar * a_bar),
+            "literal": a2_bar == ss / n,
+            "clamped_at_0": unclamped < 0.0 and g == 0.0,
+            "clamped_at_1": unclamped > 1.0 and g == 1.0,
+        }
+        assert fired[name]
+
+    def test_first_bad_reading_is_named(self):
+        # Readings 1 and 2 both break a_bar**2 <= a2_bar in literal mode;
+        # the message is reading 1's, as its scalar reading raises it.
+        s = np.array([1.0, 20.0, 30.0])
+        ss = np.array([50.0, 2.0, 3.0])
+        with pytest.raises(ValueError) as info:
+            readings_from_totals(s, ss, 100, 1.0, "literal")
+        with pytest.raises(ValueError) as scalar:
+            moments_from_stats(20.0, 2.0, 100, 1.0, "literal")
+        assert str(info.value) == str(scalar.value)
+        assert str(info.value) == (
+            "inconsistent moments: a_bar**2 = 0.04000000000000001 exceeds a2_bar = 0.02"
+        )
+
+    def test_non_finite_moments_named_as_floats(self):
+        with pytest.raises(ValueError, match=r"^a2_bar must be finite, got inf$"):
+            readings_from_totals(np.array([1.0, 2.0]), np.array([5.0, np.inf]), 4, 1.0)
+        with pytest.raises(ValueError, match=r"^a_bar must be finite, got nan$"):
+            SignalMoments(float("nan"), 1.0, 1.0)
+
+    def test_inconsistent_huge_a_bar_is_a_value_error(self):
+        # a_bar**2 overflows; the message reads inf rather than raising
+        # OverflowError from the message itself.
+        with pytest.raises(ValueError, match=r"a_bar\*\*2 = inf exceeds a2_bar = 1.0"):
+            SignalMoments(1e200, 1.0, 1.0)

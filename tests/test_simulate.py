@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hoyerstream.simulate as simulate
 from hoyerstream import (
@@ -416,6 +418,23 @@ class TestErrorBand:
     def test_too_short(self):
         with pytest.raises(ValueError):
             error_band([0.1])
+
+
+class TestMedian:
+    # -0.0 is mapped to 0.0: the two compare equal, and which of them a
+    # sort or a partition puts in the middle is not specified.
+    @given(st.lists(st.floats(-1e300, 1e300).map(lambda x: x + 0.0), min_size=1, max_size=9))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_of_np_median(self, values):
+        assert simulate._median(values).hex() == float(np.median(values)).hex()
+
+    @pytest.mark.parametrize(
+        "values, middle",
+        [([3.0, 1.0, 2.0], 2.0), ([0.1, 0.7, 0.3, 0.2], (0.2 + 0.3) / 2), ([0.25], 0.25)],
+        ids=["odd", "even", "one"],
+    )
+    def test_odd_and_even_counts(self, values, middle):
+        assert simulate._median(values) == middle == float(np.median(values))
 
 
 class TestSweepDrivers:
