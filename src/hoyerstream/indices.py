@@ -49,25 +49,10 @@ def as_image_matrix(x, *, min_entries: int = 1) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-# Elementwise primitives of the reading formulas. Each takes floats or NumPy
-# arrays (the first argument decides): the builtins and ``math`` on floats,
-# so one reading runs plain float arithmetic, and NumPy on arrays, so k
-# readings take one array pass. The two agree bit for bit on every value a
-# reading can take (tests/test_indices.py::TestReadingsFromTotals).
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
-
-
-def _max(x, y):
-    return np.maximum(x, y) if isinstance(x, np.ndarray) else max(x, y)
-
-
-def _min(x, y):
-    return np.minimum(x, y) if isinstance(x, np.ndarray) else min(x, y)
-
-
-def _where(cond, x, y):
-    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+# The reading formulas are NumPy ufuncs over arrays of k readings, run with
+# overflow and invalid operations ignored: ``_check_moments`` reports moments
+# that overflow, not a RuntimeWarning. Public scalar functions return floats.
+_quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -87,12 +72,12 @@ class SignalMoments:
         _check_moments(self.a_bar, self.a2_bar, self.sigma2)
 
 
+@_quiet()
 def _check_moments(a_bar, a2_bar, sigma2):
     """Raise ValueError unless the moments keep the ``SignalMoments``
-    contract. Takes floats, or arrays of k readings (a float ``sigma2`` is
-    shared by all), and names the first bad reading's first broken check.
-    Plain comparisons, so float moments cost no NumPy call (NaN fails them
-    all, and |v| < inf is the finiteness test)."""
+    contract, elementwise over k readings (a shared ``sigma2`` broadcasts),
+    naming the first bad reading's first broken check. NaN fails every
+    comparison, and |v| < inf is the finiteness test."""
     kept = (
         abs(a_bar) < math.inf,
         abs(a2_bar) < math.inf,
@@ -103,33 +88,24 @@ def _check_moments(a_bar, a2_bar, sigma2):
         a_bar * a_bar <= a2_bar * (1.0 + _CS_SLACK),
     )
     ok = functools.reduce(operator.and_, kept)
-    if ok.all() if isinstance(ok, np.ndarray) else ok:
+    bad = np.flatnonzero(np.logical_not(ok))
+    if not bad.size:
         return
-    first = np.flatnonzero(~np.asarray(ok))[0]
 
-    def at(v):
-        """``v`` at the first bad reading, a NumPy value as a float."""
-        if isinstance(v, (np.ndarray, np.generic)):
-            return float(v[first] if v.ndim else v)
-        return v
+    def at(v):  # v at the first bad reading
+        return np.broadcast_to(v, np.shape(ok)).flat[bad[0]]
 
-    def squared(v):
-        try:
-            return v**2
-        except OverflowError:  # a float past 1.34e154
-            return math.inf
-
-    a, a2, s2 = at(a_bar), at(a2_bar), at(sigma2)
+    a, a2, s2 = (float(at(v)) for v in (a_bar, a2_bar, sigma2))
     messages = (
-        lambda: f"a_bar must be finite, got {a!r}",
-        lambda: f"a2_bar must be finite, got {a2!r}",
-        lambda: f"sigma2 must be finite, got {s2!r}",
-        lambda: f"a_bar must be >= 0, got {a!r}",
-        lambda: f"a2_bar must be > 0, got {a2!r}",
-        lambda: f"sigma2 must be >= 0, got {s2!r}",
-        lambda: f"inconsistent moments: a_bar**2 = {squared(a)!r} exceeds a2_bar = {a2!r}",
+        f"a_bar must be finite, got {a!r}",
+        f"a2_bar must be finite, got {a2!r}",
+        f"sigma2 must be finite, got {s2!r}",
+        f"a_bar must be >= 0, got {a!r}",
+        f"a2_bar must be > 0, got {a2!r}",
+        f"sigma2 must be >= 0, got {s2!r}",
+        f"inconsistent moments: a_bar**2 = {a * a!r} exceeds a2_bar = {a2!r}",
     )
-    raise ValueError(next(m for flags, m in zip(kept, messages) if not at(flags))())
+    raise ValueError(next(m for flags, m in zip(kept, messages) if not at(flags)))
 
 
 def hoyer_index(x, *, clip: bool = True) -> float:
@@ -148,7 +124,7 @@ def hoyer_index(x, *, clip: bool = True) -> float:
     what diagnostics of pure-noise behaviour need to see.
     """
     m = as_image_matrix(x, min_entries=2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         s, ss, _ = matrix_stats(m)
     return hoyer_from_matrix_stats(m, s, ss, clip=clip)
 
@@ -166,13 +142,14 @@ def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = 
     if not math.isfinite(ss) or (ss < _TINY and m.any()):
         m = m / np.abs(m).max()
         s, ss, _ = matrix_stats(m)
-    return hoyer_from_totals(s, ss, m.size, clip=clip)
+    return float(hoyer_from_totals(s, ss, m.size, clip=clip))
 
 
-def hoyer_from_totals(s, ss, n: int, *, clip: bool = True):
+@_quiet()
+def hoyer_from_totals(s, ss, n: int, *, clip: bool = True) -> np.ndarray:
     """Index of n >= 2 entries from their sum ``s`` and sum of squares
-    ``ss``: the one index formula, elementwise over floats or arrays of
-    totals (a matrix's or drawn ones).
+    ``ss``: the one index formula, elementwise over arrays of totals (a
+    matrix's or drawn ones).
 
     ``ss`` == 0 reads 1 (the blank-frame convention): the formula divides
     by 1 there, not 0. No rescaling happens here: totals whose ``ss``
@@ -181,14 +158,14 @@ def hoyer_from_totals(s, ss, n: int, *, clip: bool = True):
     """
     root_n = math.sqrt(n)
     blank = ss == 0.0
-    h = (root_n - abs(s) / _sqrt(_where(blank, 1.0, ss))) / (root_n - 1.0)
-    h = _where(blank, 1.0, h)
+    h = (root_n - abs(s) / np.sqrt(np.where(blank, 1.0, ss))) / (root_n - 1.0)
+    h = np.where(blank, 1.0, h)
     return _unit_clamp(h) if clip else h
 
 
 def _unit_clamp(x):
     """``x`` clamped to [0, 1], elementwise; NaN stays NaN."""
-    return _min(_max(x, 0.0), 1.0)
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def noise_bias(moments: SignalMoments) -> float:
@@ -204,9 +181,10 @@ def noise_bias(moments: SignalMoments) -> float:
     return float(_noise_bias(moments.a_bar, moments.a2_bar, moments.sigma2))
 
 
+@_quiet()
 def _noise_bias(a_bar, a2_bar, sigma2):
-    """``noise_bias`` elementwise over moments (floats or arrays)."""
-    return a_bar * (1.0 / _sqrt(a2_bar) - 1.0 / _sqrt(a2_bar + sigma2))
+    """``noise_bias`` elementwise over moments."""
+    return a_bar * (1.0 / np.sqrt(a2_bar) - 1.0 / np.sqrt(a2_bar + sigma2))
 
 
 def corrected_hoyer(h_raw: float, moments: SignalMoments) -> float:
@@ -236,7 +214,7 @@ def moment_floor(sigma2_hat: float) -> float:
 
 def _entry_means(s, ss, n: int):
     """Mean magnitude |s| / n and mean square ss / n of n entries from
-    their sum ``s`` and sum of squares ``ss`` (floats or arrays)."""
+    their sum ``s`` and sum of squares ``ss``, elementwise."""
     return abs(s) / n, ss / n
 
 
@@ -248,9 +226,10 @@ def moments_from_stats(
     return SignalMoments(a_bar=float(a_bar), a2_bar=float(a2_bar), sigma2=sigma2_hat)
 
 
+@_quiet()
 def _moments_of_totals(s, ss, n: int, sigma2_hat: float, mode: str):
-    """(a_bar, a2_bar) elementwise over totals (floats or arrays), checked
-    against the ``SignalMoments`` contract."""
+    """(a_bar, a2_bar) elementwise over totals, checked against the
+    ``SignalMoments`` contract."""
     if mode not in MOMENT_MODES:
         raise ValueError(f"mode must be one of {MOMENT_MODES}, got {mode!r}")
     if not math.isfinite(sigma2_hat) or sigma2_hat < 0.0:
@@ -258,16 +237,15 @@ def _moments_of_totals(s, ss, n: int, sigma2_hat: float, mode: str):
     a_bar, raw_square = _entry_means(s, ss, n)
     floor = moment_floor(sigma2_hat)
     if mode == "literal":
-        a2_bar = _max(raw_square, floor)
+        a2_bar = np.maximum(raw_square, floor)
     else:
-        a2_bar = _max(_max(raw_square - sigma2_hat, a_bar * a_bar), floor)
+        a2_bar = np.maximum(np.maximum(raw_square - sigma2_hat, a_bar * a_bar), floor)
     _check_moments(a_bar, a2_bar, sigma2_hat)
     return a_bar, a2_bar
 
 
 class TotalsReadings(NamedTuple):
-    """Corrected readings of k residuals, one array element each (floats
-    for a single reading)."""
+    """Corrected readings of k residuals, one array element each."""
 
     h_raw: np.ndarray
     a_bar: np.ndarray
@@ -281,8 +259,8 @@ def readings_from_totals(
     s, ss, n: int, sigma2_hat: float, mode: str = "debias", h_raw=None
 ) -> TotalsReadings:
     """Corrected readings of k residuals of n >= 2 entries each from their
-    entry sums ``s`` and sums of squares ``ss`` (arrays of k, or floats), in
-    one pass over the arrays: the raw index (``hoyer_from_totals``), the
+    entry sums ``s`` and sums of squares ``ss`` (arrays of k), in one pass
+    over the arrays: the raw index (``hoyer_from_totals``), the
     moments (``moments_from_stats``), the bias (``noise_bias``) and the
     correction (``corrected_hoyer``), bit for bit.
 

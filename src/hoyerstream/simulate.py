@@ -280,8 +280,8 @@ def _cell_band(anomaly, h_true, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
     No frame is made but the baseline's one: the baseline is drawn from its
     exact law (``_cell_baseline``), and so are the two totals of each
     shifted residual (``_shifted_totals``). The cell reads all its totals
-    in one array pass of ``readings_from_totals``, the formula the frame
-    path reads a residual's totals with, bit for bit. The readings are
+    in one array pass of ``readings_from_totals``, the pass
+    ``monitor_series`` makes over its frames' totals. The readings are
     those of the frames at positions w0 .. w0 + n_ooc - 1 of a simulated
     stream in law, not in bits. A cell reads no positive mass, so it emits
     no ``MixedSignWarning``.
@@ -436,6 +436,8 @@ def verify_bias_theorem(
         a = as_image_matrix(anomaly)
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
+    if not math.isfinite(sigma) or sigma < 0.0:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     predicted = noise_bias(exact_moments(a, sigma)) if sigma > 0 else 0.0
     h_a = hoyer_index(a)
     p1, p2 = a.shape

@@ -29,6 +29,7 @@ from .errors import DimensionError, MixedSignWarning
 from .indices import (
     SignalMoments,
     _correct,
+    _quiet,
     as_image_matrix,
     hoyer_from_matrix_stats,
     readings_from_totals,
@@ -91,8 +92,11 @@ class SparsityReading:
 
 def _checked_frames(frames, count: int | None = None):
     """Yield the first ``count`` frames (all when None) of any iterable as
-    float64 matrices of one shape, drawing no item past them. At the end,
-    raise DimensionError for no frames, ValueError for fewer than ``count``."""
+    float64 matrices of one shape, drawing no item past them. Raise
+    ValueError for a ``count`` below 1 before drawing any; at the end,
+    DimensionError for no frames, ValueError for fewer than ``count``."""
+    if count is not None and count < 1:
+        raise ValueError(f"frame count must be >= 1, got {count!r}")
     items = iter(frames) if count is None else itertools.islice(frames, count)
     m = 0
     for m, f in enumerate(items, start=1):
@@ -106,13 +110,6 @@ def _checked_frames(frames, count: int | None = None):
         raise DimensionError("empty frame sequence")
     if count is not None and m < count:
         raise ValueError(f"requested {count} frames, only {m} available")
-
-
-def _check_shape(m: np.ndarray, baseline: BaselineModel):
-    if m.shape != baseline.shape:
-        raise DimensionError(
-            f"frame shape {m.shape} does not match baseline shape {baseline.shape}"
-        )
 
 
 def _warn_if_mixed_sign(total: float, positive: float):
@@ -149,7 +146,11 @@ def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
     d**2 and d give m + 1 and, by Cauchy-Schwarz, 2·(m - 1) of it, the pixel
     total 4·log2(n) (see ``kernels``). Q is taken about the first frame, so
     a common offset of the frames does not loosen the bound.
+
+    Raises ValueError for a ``w0`` below 2 before drawing any frame.
     """
+    if w0 is not None and w0 < 2:
+        raise ValueError(f"w0 must be >= 2, got {w0!r}")
     mats = _checked_frames(frames, w0)
     x0 = next(mats).copy()
     total = x0.copy()
@@ -173,27 +174,35 @@ def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
 def residual(x, baseline: BaselineModel) -> np.ndarray:
     """Frame minus the baseline mean."""
     m = as_image_matrix(x)
-    _check_shape(m, baseline)
+    if m.shape != baseline.shape:
+        raise DimensionError(
+            f"frame shape {m.shape} does not match baseline shape {baseline.shape}"
+        )
     return m - baseline.mu0_hat
 
 
-def _reading_from_residual(
-    r: np.ndarray, sigma2_hat: float, mode: str, t: int
-) -> SparsityReading:
-    """Corrected reading of the residual ``r``: the one-reading case of
-    ``readings_from_totals``, which a simulation cell runs over all its
-    totals in one array pass. The raw index is read from ``r`` itself, so
-    it stays right when the sum of squares over- or underflowed."""
-    if r.size < 2:
-        raise DimensionError("index needs at least 2 entries per frame")
-    s, ss, pos = matrix_stats(r)
-    _warn_if_mixed_sign(s, pos)
-    h_raw = hoyer_from_matrix_stats(r, s, ss)
-    reading = readings_from_totals(s, ss, r.size, sigma2_hat, mode, h_raw)
-    moments = SignalMoments(
-        a_bar=float(reading.a_bar), a2_bar=float(reading.a2_bar), sigma2=sigma2_hat
-    )
-    return SparsityReading(t=t, h_raw=h_raw, bias=float(reading.bias), moments=moments)
+def _residual_readings(residuals, sigma2_hat: float, mode: str) -> list[SparsityReading]:
+    """Corrected readings of ``(t, r)`` pairs, ``r`` a residual matrix, all
+    of one shape, in one ``readings_from_totals`` pass over their totals
+    (as a simulation cell reads its own). The raw index is read from ``r``
+    itself, so it stays right when the sum of squares over- or underflowed."""
+    ts, totals = [], []
+    for t, r in residuals:
+        if r.size < 2:
+            raise DimensionError("index needs at least 2 entries per frame")
+        with _quiet():
+            s, ss, pos = matrix_stats(r)
+        _warn_if_mixed_sign(s, pos)
+        ts.append(t)
+        totals.append((s, ss, hoyer_from_matrix_stats(r, s, ss)))
+    if not ts:
+        return []
+    s, ss, h_raw = np.array(totals).T
+    got = readings_from_totals(s, ss, r.size, sigma2_hat, mode, h_raw)
+    return [
+        SparsityReading(t, h, bias, SignalMoments(a_bar, a2_bar, sigma2_hat))
+        for t, h, a_bar, a2_bar, bias in zip(ts, *(v.tolist() for v in got[:4]))
+    ]
 
 
 def corrected_reading(
@@ -210,7 +219,7 @@ def corrected_reading(
     is not a finite float64 (entries near 1e200, say) raises ValueError
     ("a2_bar must be finite").
     """
-    return _reading_from_residual(residual(x, baseline), baseline.sigma2_hat, mode, t)
+    return _residual_readings([(t, residual(x, baseline))], baseline.sigma2_hat, mode)[0]
 
 
 def windowed_reading(
@@ -225,12 +234,11 @@ def windowed_reading(
     """
     mats = _checked_frames(frames, w)
     total = next(mats).copy()
-    _check_shape(total, baseline)
     m = 1
     for m, x in enumerate(mats, start=2):
         total += x
-    avg_resid = total / m - baseline.mu0_hat
-    return _reading_from_residual(avg_resid, baseline.sigma2_hat / m, mode, t)
+    avg_resid = residual(total / m, baseline)
+    return _residual_readings([(t, avg_resid)], baseline.sigma2_hat / m, mode)[0]
 
 
 def monitor_series(
@@ -248,16 +256,24 @@ def monitor_series(
     so a generator is left right after it. A position below 0, not above
     the one before, or past the end of ``frames`` raises IndexError.
     Deterministic given the inputs; an empty range yields an empty list.
+
+    Each frame is reduced to its residual's totals as it is drawn; all the
+    totals are then read in one array pass, bit for bit as
+    ``corrected_reading`` reads each frame. So a moment error (the first
+    bad reading's ValueError) comes after every position was drawn: a bad
+    position or frame outranks a moment error at an earlier frame.
     """
-    items = iter(frames)
-    drawn = 0
-    readings = []
-    for tau in tau_range:
-        if tau < drawn:
-            raise IndexError(f"frame position {tau} out of order: must be >= {drawn}")
-        frame = next(itertools.islice(items, tau - drawn, None), _END)
-        if frame is _END:
-            raise IndexError(f"frame position {tau} out of range: fewer than {tau + 1} frames")
-        drawn = tau + 1
-        readings.append(corrected_reading(frame, baseline, mode=mode, t=tau + t_offset))
-    return readings
+
+    def residuals():
+        items = iter(frames)
+        drawn = 0
+        for tau in tau_range:
+            if tau < drawn:
+                raise IndexError(f"frame position {tau} out of order: must be >= {drawn}")
+            frame = next(itertools.islice(items, tau - drawn, None), _END)
+            if frame is _END:
+                raise IndexError(f"frame position {tau} out of range: fewer than {tau + 1} frames")
+            drawn = tau + 1
+            yield tau + t_offset, residual(frame, baseline)
+
+    return _residual_readings(residuals(), baseline.sigma2_hat, mode)

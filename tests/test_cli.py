@@ -62,6 +62,14 @@ class TestIndex:
         assert float(fields[3]) == pytest.approx(SPARSE_H, abs=1e-9)  # g
         assert float(fields[2]) == 0.0  # bias: identical frames give sigma2 = 0
 
+    def test_baseline_w0_below_2_exit_2_names_w0(self, in_tmp, capsys):
+        os.mkdir("ic")
+        for k in range(3):
+            write_matrix_csv(np.full((4, 5), 7.0), f"ic/frame_{k}.csv")
+        write_matrix_csv(np.full((4, 5), 8.0), "x.csv")
+        assert main(["index", "x.csv", "--baseline", "ic", "--w0", "0"]) == 2
+        assert capsys.readouterr().err == "error: w0 must be >= 2, got 0\n"
+
     def test_bad_dims_exit_2(self, in_tmp, capsys):
         write_matrix_csv(np.ones((1, 1)), "tiny.csv")
         assert main(["index", "tiny.csv"]) == 2

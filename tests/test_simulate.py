@@ -574,6 +574,13 @@ class TestVerifiers:
         assert report["empirical_mean_gap"] == 0.0
         assert report["predicted_bias"] == 0.0
 
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_bias_theorem_refuses_bad_sigma(self, sigma):
+        # A negative or NaN sigma used to skip the noise and report
+        # abs_diff 0.0, which reads as a pass.
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            verify_bias_theorem(1.0, sigma, dims=(10, 10), reps=5)
+
     def test_bias_theorem_constant_anomaly(self):
         report = verify_bias_theorem(1.0, 1.0, dims=(200, 200), reps=20, seed=1)
         assert report["predicted_bias"] == pytest.approx(0.29289321881345254, abs=1e-12)

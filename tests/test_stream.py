@@ -38,6 +38,18 @@ def noisy_frames(mu, sigma, count, seed):
     return [mu + sample_noise(*mu.shape, spec, k) for k in range(count)]
 
 
+def never_drawn():
+    """A frame iterable that fails the test if any frame is drawn from it."""
+    pytest.fail("a frame was drawn")
+    yield
+
+
+def reading_bits(r):
+    """Every field of a reading, floats as their exact hex."""
+    floats = (r.h_raw, r.bias, r.g, r.g_unclamped, r.moments.a_bar, r.moments.a2_bar, r.moments.sigma2)
+    return (r.t, *(float(v).hex() for v in floats))
+
+
 def variance_tolerance(block, oracle):
     """fit_baseline's documented error bound for an (m, p1, p2) block,
     widened by the error of ``pooled_variance_oracle`` itself: 5u relative
@@ -109,6 +121,11 @@ class TestFitBaseline:
             fit_baseline([])
         with pytest.raises(ValueError):
             fit_baseline([np.ones((2, 2))] * 3, w0=5)
+
+    @pytest.mark.parametrize("w0", [0, -1])
+    def test_w0_below_2_raises_before_drawing(self, w0):
+        with pytest.raises(ValueError, match=rf"^w0 must be >= 2, got {w0}$"):
+            fit_baseline(never_drawn(), w0)
 
     def test_draws_exactly_w0_items_from_an_endless_generator(self):
         drawn = []
@@ -342,6 +359,24 @@ class TestCorrectedReading:
             with pytest.raises(ValueError, match="a2_bar must be finite"):
                 corrected_reading(np.full((4, 4), 1e200), b)
 
+    def test_over_and_underflow_emit_no_runtime_warning(self):
+        # The two cases above, with NumPy's own warnings made errors: the
+        # overflow is reported by the moment check alone, and the underflow
+        # still reads 2/3. Entries of 1e308 overflow the entry sum too.
+        import warnings
+
+        b = BaselineModel(np.zeros((4, 4)), 0.0, 2)
+        x = np.zeros((4, 4))
+        x[0] = 1e-170
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^a2_bar must be finite, got inf$"):
+                corrected_reading(np.full((4, 4), 1e200), b)
+            with pytest.raises(ValueError, match=r"^a_bar must be finite, got inf$"):
+                corrected_reading(np.full((4, 4), 1e308), b)
+            assert corrected_reading(x, b).h_raw == pytest.approx(2.0 / 3.0)
+            assert windowed_reading([x, x], b).h_raw == pytest.approx(2.0 / 3.0)
+
 
 class TestWindowedReading:
     def test_effective_variance_is_scaled(self):
@@ -366,6 +401,12 @@ class TestWindowedReading:
         assert r.h_raw == manual.h_raw
         assert r.bias == manual.bias
 
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_window_below_1_raises_before_drawing(self, w):
+        b = BaselineModel(np.zeros((2, 2)), 1.0, 2)
+        with pytest.raises(ValueError, match=rf"^frame count must be >= 1, got {w}$"):
+            windowed_reading(never_drawn(), b, w=w)
+
 
 class TestMonitorSeries:
     def make_stream(self, sigma=0.5, n_ic=30, n_ooc=30, seed=11):
@@ -389,6 +430,39 @@ class TestMonitorSeries:
         series = monitor_series(frames, b, range(42, 43))
         direct = corrected_reading(frames[42], b, t=42)
         assert series[0] == direct
+
+        # A blank residual, one whose sum of squares underflows, and
+        # ordinary ones: the one array pass gives each frame's own reading.
+        shape = (4, 5)
+        b = BaselineModel(np.zeros(shape), 0.25, 2)
+        underflowing = np.zeros(shape)
+        underflowing[0] = 1e-170
+        frames = [
+            0.5 * np.arange(20.0).reshape(shape) + 1.0,
+            np.zeros(shape),
+            underflowing,
+            2.0 + sample_noise(*shape, NoiseSpec(1.0, 3)),
+        ]
+        series = monitor_series(frames, b, range(4), t_offset=5)
+        direct = [corrected_reading(f, b, t=k + 5) for k, f in enumerate(frames)]
+        assert [reading_bits(r) for r in series] == [reading_bits(r) for r in direct]
+        assert series[1].h_raw == 1.0
+        assert series[2].h_raw == hoyer_index(underflowing) == pytest.approx(0.644, abs=1e-3)
+
+        # The third frame breaks the moment contract (its mean square is
+        # not a float64), and so does the fourth in another check: the
+        # error is the third frame's own.
+        frames[2] = np.full(shape, 1e200)
+        frames[3] = np.full(shape, 1e308)
+        with pytest.raises(ValueError) as own:
+            corrected_reading(frames[2], b)
+        with pytest.raises(ValueError) as info:
+            monitor_series(frames, b, range(4))
+        assert str(info.value) == str(own.value) == "a2_bar must be finite, got inf"
+        # A position past the end outranks a moment error at an earlier
+        # frame: every position is drawn before the totals are read.
+        with pytest.raises(IndexError, match="out of range"):
+            monitor_series(frames, b, [2, 9])
 
     def test_t_offset_labels(self):
         _, frames = self.make_stream(n_ic=5, n_ooc=5)
