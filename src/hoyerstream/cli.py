@@ -100,6 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_index(args) -> int:
+    if args.baseline is not None and args.w0 < 2:
+        raise ValueError(f"w0 must be >= 2, got {args.w0}")
     matrix = load_matrix(args.matrix)
     if args.baseline is None:
         h = hoyer_index(matrix)

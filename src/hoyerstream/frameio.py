@@ -160,19 +160,18 @@ def read_pgm(path) -> np.ndarray:
     if not 1 <= maxval <= _PGM_MAX_MAXVAL:
         raise FrameFormatError(f"{path}: maxval {maxval} out of range [1, {_PGM_MAX_MAXVAL}]")
 
+    # Samples are checked against maxval as unsigned integers, before the
+    # one conversion to float64.
     if magic == b"P2":
         try:
-            values = _pgm_ints(data[end:].split())
+            samples = _pgm_ints(data[end:].split())
         except ValueError:
             raise FrameFormatError(f"{path}: non-integer pixel data") from None
-        if len(values) != width * height:
+        if len(samples) != width * height:
             raise FrameFormatError(
-                f"{path}: expected {width * height} pixels, found {len(values)}"
+                f"{path}: expected {width * height} pixels, found {len(samples)}"
             )
-        try:
-            pixels = np.array(values, dtype=np.float64)
-        except OverflowError:
-            raise FrameFormatError(f"{path}: pixel value outside [0, {maxval}]") from None
+        top = max(samples)
     else:
         # Binary payload starts after exactly one whitespace byte past maxval.
         if not data[end : end + 1].isspace():
@@ -187,11 +186,16 @@ def read_pgm(path) -> np.ndarray:
             )
         if data[start + need :].strip():
             raise FrameFormatError(f"{path}: trailing bytes after pixel payload")
-        dtype = ">u2" if bytes_per == 2 else np.uint8
-        pixels = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    if pixels.min(initial=0.0) < 0 or pixels.max(initial=0.0) > maxval:
+        if bytes_per == 2:
+            # Swapped from big-endian to native order once, for the check
+            # and the conversion alike.
+            samples = np.frombuffer(payload, dtype=">u2").astype(np.uint16)
+        else:
+            samples = np.frombuffer(payload, dtype=np.uint8)
+        top = int(samples.max())
+    if top > maxval:
         raise FrameFormatError(f"{path}: pixel value outside [0, {maxval}]")
-    return pixels.reshape(height, width)
+    return np.array(samples, dtype=np.float64).reshape(height, width)
 
 
 def write_pgm(matrix, path, maxval: int = 65535):

@@ -18,23 +18,30 @@ simulated stream can be regenerated on its own. Cells are independent and
 share no generator, which is what lets the sweep drivers fan out across
 threads without affecting results.
 
-A simulation cell makes no stream frames. Its noise is iid N(0, sigma^2),
-so everything it reads has a known law, and it draws from that law with
-the cell seed as master (n = p1·p2):
+A simulation cell makes no frame. Its noise is iid N(0, sigma^2), so
+everything it reads has a known law, and it draws from that law with the
+cell seed as master. The anomaly A enters only through n = p1·p2, its mean
+a_bar and its spread alpha = ||A - a_bar|| (``_row_pattern``). A cell reads
+the residuals b + e of b = A - mu0_hat, against the mu0_hat and
+sigma2_hat ``fit_baseline`` would fit on w0 in-control frames. Its keyed
+draws are:
 
-- the baseline ``fit_baseline`` would fit on w0 in-control frames
-  (``_cell_baseline``): ``mu0_hat`` is the noise frame keyed
-  ``(CELL_BASELINE_TAG, 0)`` over sqrt(w0), and ``sigma2_hat`` is
-  sigma^2 / (n·(w0 - 1)) times the chi-square draw (``Generator.chisquare``,
-  twice a standard gamma) keyed ``(CELL_BASELINE_TAG, 1)`` with n·(w0 - 1)
-  degrees of freedom;
-- the entry sum and sum of squares of each of the n_ooc shifted residuals
-  (``_shifted_totals``), which are all a reading needs: a (2, n_ooc) block
-  of N(0, sigma^2) draws keyed ``(CELL_STATS_TAG, 0)``, row 0 then row 1,
-  and n_ooc chi-square draws with n - 2 degrees of freedom keyed
-  ``(CELL_STATS_TAG, 1)`` (none when n = 2).
+- ``(CELL_BASELINE_TAG, 0)``: a (2, 1) block of N(0, sigma^2 / w0) draws
+  y1, y2, then one chi-square C0 with n - 2 degrees of freedom (none when
+  n = 2), giving b's mean b_bar = a_bar + y1 / sqrt(n) and spread
+  beta = sqrt((alpha + y2)^2 + sigma^2 / w0 · C0) (``_baseline_draws``);
+- ``(CELL_BASELINE_TAG, 1)``: one chi-square X with n·(w0 - 1) degrees of
+  freedom, and sigma2_hat = sigma^2·X / (n·(w0 - 1));
+- ``(CELL_STATS_TAG, 0)``: a (2, n_ooc) block of N(0, sigma^2) draws z1,
+  z2, row 0 then row 1, then n_ooc chi-square draws with n - 2 degrees of
+  freedom (none when n = 2), giving the entry sum and sum of squares of
+  each of the n_ooc shifted residuals (``_shifted_totals``), which are all
+  a reading needs.
 
-So a cell draws one noise frame and 3·n_ooc + 1 scalars, whatever w0 is.
+The normals and chi-squares at one key come from one generator, in that
+order (``_rotated_draws``); a chi-square is ``Generator.chisquare``, twice a
+standard gamma. So a cell draws 3·n_ooc + 4 scalars (2·n_ooc + 3 when
+n = 2), whatever n and w0 are.
 """
 
 from __future__ import annotations
@@ -47,16 +54,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DimensionError
 from .indices import (
     SignalMoments,
     _entry_means,
     as_image_matrix,
+    hoyer_from_totals,
     hoyer_index,
     noise_bias,
     readings_from_totals,
 )
 from .kernels import matrix_stats
-from .stream import BaselineModel
 
 # Domain tags keep sub-streams of different uses disjoint. Part of the
 # reproducibility contract: cell seed = subseed(master, tag, value_key,
@@ -134,30 +142,44 @@ def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     return spec.sigma * _rng(spec.seed, *key).standard_normal((p1, p2))
 
 
-def make_dense_anomaly(p1: int, p2: int) -> np.ndarray:
-    """Column staircase: entry (i, j) is floor((j - 1) / 50) with 1-based j."""
+def _fixed_row(kind: str, p1: int, p2: int) -> np.ndarray:
+    """The row that every row of the fixed-size test pattern at (p1, p2) is."""
     if p1 < 1 or p2 < 1:
         raise ValueError(f"dims must be positive, got ({p1}, {p2})")
-    row = np.floor_divide(np.arange(p2), 50).astype(np.float64)
-    return np.ascontiguousarray(np.broadcast_to(row, (p1, p2)))
+    if kind == "dense":
+        return np.floor_divide(np.arange(p2), 50).astype(np.float64)
+    if kind == "sparse":
+        j = np.arange(1, p2 + 1)
+        return np.where((j >= 50) & (j < 60), 5.0, 0.0)
+    raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
+
+
+def _scaled_row(kind: str, c: int) -> np.ndarray:
+    """The row that every row of ``make_scaled_anomaly(kind, c)`` is."""
+    if c <= 0 or c % 10 != 0:
+        raise ValueError(f"multiplier c must be a positive multiple of 10, got {c!r}")
+    p2 = 2 * c
+    j = np.arange(1, p2 + 1)
+    if kind == "dense":
+        return np.floor_divide(4 * (j - 1), p2).astype(np.float64)
+    if kind == "sparse":
+        start = p2 // 4
+        return np.where((j >= start) & (j < start + c // 10), 5.0, 0.0)
+    raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
+
+
+def _repeat_row(row: np.ndarray, p1: int) -> np.ndarray:
+    return np.ascontiguousarray(np.broadcast_to(row, (p1, row.size)))
+
+
+def make_dense_anomaly(p1: int, p2: int) -> np.ndarray:
+    """Column staircase: entry (i, j) is floor((j - 1) / 50) with 1-based j."""
+    return _repeat_row(_fixed_row("dense", p1, p2), p1)
 
 
 def make_sparse_anomaly(p1: int, p2: int) -> np.ndarray:
     """Band of 5s on columns 50 <= j < 60 (1-based), zero elsewhere."""
-    if p1 < 1 or p2 < 1:
-        raise ValueError(f"dims must be positive, got ({p1}, {p2})")
-    j = np.arange(1, p2 + 1)
-    row = np.where((j >= 50) & (j < 60), 5.0, 0.0)
-    return np.ascontiguousarray(np.broadcast_to(row, (p1, p2)))
-
-
-def _fixed_anomaly(kind: str, p1: int, p2: int) -> np.ndarray:
-    """The fixed-size dense or sparse test pattern at (p1, p2)."""
-    if kind == "dense":
-        return make_dense_anomaly(p1, p2)
-    if kind == "sparse":
-        return make_sparse_anomaly(p1, p2)
-    raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
+    return _repeat_row(_fixed_row("sparse", p1, p2), p1)
 
 
 def make_scaled_anomaly(kind: str, c: int) -> np.ndarray:
@@ -168,18 +190,24 @@ def make_scaled_anomaly(kind: str, c: int) -> np.ndarray:
     c rows by 2c columns. Dense: four equal column bands of values 0..3.
     Sparse: 5s on the c/10 columns starting at 1-based column c/2.
     """
-    if c <= 0 or c % 10 != 0:
-        raise ValueError(f"multiplier c must be a positive multiple of 10, got {c!r}")
-    p1, p2 = c, 2 * c
-    j = np.arange(1, p2 + 1)
-    if kind == "dense":
-        row = np.floor_divide(4 * (j - 1), p2).astype(np.float64)
-    elif kind == "sparse":
-        start = p2 // 4
-        row = np.where((j >= start) & (j < start + c // 10), 5.0, 0.0)
-    else:
-        raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
-    return np.ascontiguousarray(np.broadcast_to(row, (p1, p2)))
+    return _repeat_row(_scaled_row(kind, c), c)
+
+
+def _row_pattern(row: np.ndarray, p1: int):
+    """All a cell reads of the p1-row matrix A whose every row is ``row``:
+    (n, a_bar, alpha, h_true), its entry count, its mean, its spread
+    ||A - a_bar|| and its index. They are taken from the one row, so they
+    cost O(p2), not O(p1·p2). Whenever the row's mean is dyadic, as on the
+    sweeps' patterns at the default dims and at every c, each total is
+    exact, so the values are the matrix's own."""
+    p2 = row.size
+    n = p1 * p2
+    if n < 2:
+        raise DimensionError(f"a pattern of shape ({p1}, {p2}) is too small (need 2 entries)")
+    s, ss, _ = matrix_stats(row)
+    a_bar = s / p2
+    alpha = math.sqrt(p1 * matrix_stats(row - a_bar)[1])
+    return n, a_bar, alpha, float(hoyer_from_totals(p1 * s, p1 * ss, n))
 
 
 def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.ndarray:
@@ -219,52 +247,68 @@ def error_band(errors) -> ErrorBand:
     return ErrorBand(m_eps=float(np.mean(e)), sigma_eps=float(np.std(e, ddof=1)))
 
 
-def _cell_baseline(spec: NoiseSpec, shape, w0: int) -> BaselineModel:
-    """The baseline ``fit_baseline`` fits on ``w0`` frames of iid
-    N(0, sigma^2) noise, drawn from its exact law at the keys
+def _rotated_draws(rng, sd: float, n: int, mean: float, spread: float, count: int):
+    """Draws of ``count`` matrices x + e, e iid N(0, sd^2) and x of n entries
+    with mean ``mean`` and spread ``spread`` = ||x - mean||, from their
+    exact law: arrays (u, v2) such that each x + e has mean u / sqrt(n),
+    squared spread v2, sum sqrt(n)·u and sum of squares u^2 + v2.
+
+    Rotate e into an orthonormal basis led by 1/sqrt(n) and
+    (x - mean) / spread. Its coordinates stay iid N(0, sd^2): z1, z2 on the
+    first two (a (2, count) block drawn from ``rng``), and sd^2 times a
+    chi-square C with n - 2 degrees of freedom for the squared rest (then
+    ``count`` draws from ``rng``, none when n = 2). So, exactly,
+    u = sqrt(n)·mean + z1 and v2 = (spread + z2)^2 + sd^2·C.
+    """
+    z1, z2 = sd * rng.standard_normal((2, count))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = math.sqrt(n) * mean + z1
+        v2 = (spread + z2) ** 2
+        if n > 2:
+            v2 += sd * sd * rng.chisquare(n - 2, count)
+    return u, v2
+
+
+def _baseline_draws(spec: NoiseSpec, n: int, a_bar: float, alpha: float, w0: int):
+    """(b_bar, beta, sigma2_hat) for b = A - mu0_hat, with mu0_hat and
+    sigma2_hat the baseline ``fit_baseline`` fits on ``w0`` frames of iid
+    N(0, sigma^2) noise, and A of n entries with mean ``a_bar`` and spread
+    ``alpha`` = ||A - a_bar||, drawn from their exact law at the keys
     ``(CELL_BASELINE_TAG, 0)`` and ``(CELL_BASELINE_TAG, 1)``.
 
-    Per pixel, the mean of w0 such frames is N(0, sigma^2 / w0): one noise
-    frame (key 0) over sqrt(w0). The pooled sum of squared deviations over
-    sigma^2 is chi-square with n·(w0 - 1) degrees of freedom, n = p1·p2
-    (key 1), and it is independent of the means (Cochran, 1934).
+    mu0_hat's entries are iid N(0, sigma^2 / w0), so b has the law of
+    A + mu0_hat: b_bar and beta = ||b - b_bar|| are one ``_rotated_draws``
+    (key 0). The pooled sum of squared deviations over sigma^2 is
+    chi-square with n·(w0 - 1) degrees of freedom (key 1), independent of
+    the means (Cochran, 1934).
+
+    Raises ValueError, as ``BaselineModel`` does, if sigma2_hat is not
+    finite.
     """
-    df = shape[0] * shape[1] * (w0 - 1)
-    mu0_hat = sample_noise(*shape, spec, CELL_BASELINE_TAG, 0)
-    mu0_hat /= math.sqrt(w0)
+    df = n * (w0 - 1)
     chi2 = _rng(spec.seed, CELL_BASELINE_TAG, 1).chisquare(df)
-    sigma2_hat = spec.sigma * spec.sigma * chi2 / df
-    return BaselineModel(mu0_hat=mu0_hat, sigma2_hat=sigma2_hat, w0=w0)
+    sigma2_hat = float(spec.sigma * spec.sigma * chi2 / df)
+    if not math.isfinite(sigma2_hat):
+        raise ValueError(f"sigma2_hat must be finite and >= 0, got {sigma2_hat!r}")
+    rng = _rng(spec.seed, CELL_BASELINE_TAG, 0)
+    u, v2 = _rotated_draws(rng, spec.sigma / math.sqrt(w0), n, a_bar, alpha, 1)
+    return float(u[0]) / math.sqrt(n), math.sqrt(v2[0]), sigma2_hat
 
 
-def _shifted_totals(spec: NoiseSpec, b: np.ndarray, count: int):
+def _shifted_totals(spec: NoiseSpec, n: int, b_bar: float, beta: float, count: int):
     """Entry sums and sums of squares of ``count`` residuals b + e, e a
-    frame of iid N(0, sigma^2) noise, drawn from their exact joint law at
-    the keys ``(CELL_STATS_TAG, 0)`` and ``(CELL_STATS_TAG, 1)``; returns
-    two (count,) arrays.
-
-    With n = b.size, b_bar = sum(b) / n and beta = ||b - b_bar||, rotate
-    the noise into an orthonormal basis led by 1/sqrt(n) and
-    (b - b_bar) / beta. Its coordinates stay iid N(0, sigma^2): z1, z2 on
-    the first two (key 0, a (2, count) block), and sigma^2 times a
-    chi-square with n - 2 degrees of freedom for the squared rest (key 1,
-    skipped when n = 2). So, exactly, u = sqrt(n)·b_bar + z1,
-    sum = sqrt(n)·u and sum of squares = u^2 + (beta + z2)^2 + sigma^2·C.
-    beta is taken two-pass, from b - b_bar, so it does not cancel.
+    frame of iid N(0, sigma^2) noise and b a matrix of n entries with mean
+    ``b_bar`` and spread ``beta`` = ||b - b_bar||, drawn from their exact
+    joint law (``_rotated_draws``) at the key ``(CELL_STATS_TAG, 0)``;
+    returns two (count,) arrays.
 
     Raises ValueError if a drawn sum of squares is not a finite normal
     float, which no reading could be trusted on.
     """
-    n = b.size
-    b_bar = matrix_stats(b)[0] / n
-    beta = math.sqrt(matrix_stats(b - b_bar)[1])
-    z1, z2 = sample_noise(2, count, spec, CELL_STATS_TAG, 0)
+    rng = _rng(spec.seed, CELL_STATS_TAG, 0)
+    u, v2 = _rotated_draws(rng, spec.sigma, n, b_bar, beta, count)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = math.sqrt(n) * b_bar + z1
-        ss = u**2 + (beta + z2) ** 2
-        if n > 2:
-            chi2 = _rng(spec.seed, CELL_STATS_TAG, 1).chisquare(n - 2, count)
-            ss += spec.sigma * spec.sigma * chi2
+        ss = u**2 + v2
     if not (np.isfinite(ss).all() and ss.min() >= sys.float_info.min):
         raise ValueError(
             f"drawn sum of squares out of the normal float range: {ss.min()!r} .. {ss.max()!r}"
@@ -272,23 +316,26 @@ def _shifted_totals(spec: NoiseSpec, b: np.ndarray, count: int):
     return math.sqrt(n) * u, ss
 
 
-def _cell_band(anomaly, h_true, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
+def _cell_band(pattern, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
     """One experiment cell: a baseline for ``w0`` in-control frames, every
     one of ``n_ooc`` shifted frames read against it, and the band of the
-    absolute errors.
+    absolute errors, for the anomaly that ``pattern`` (``_row_pattern``)
+    describes.
 
-    No frame is made but the baseline's one: the baseline is drawn from its
-    exact law (``_cell_baseline``), and so are the two totals of each
-    shifted residual (``_shifted_totals``). The cell reads all its totals
-    in one array pass of ``readings_from_totals``, the pass
-    ``monitor_series`` makes over its frames' totals. The readings are
-    those of the frames at positions w0 .. w0 + n_ooc - 1 of a simulated
-    stream in law, not in bits. A cell reads no positive mass, so it emits
-    no ``MixedSignWarning``.
+    No frame is made: the baseline's sigma2_hat and the mean and spread of
+    the anomaly less its mu0_hat are drawn from their exact law
+    (``_baseline_draws``), and so are the two totals of each shifted
+    residual (``_shifted_totals``), so a cell costs the same whatever the
+    anomaly's size and w0 are. All the totals are read in one array pass
+    of ``readings_from_totals``, as ``monitor_series`` reads its frames'.
+    The readings are those of the frames at positions w0 .. w0 + n_ooc - 1
+    of a simulated stream in law, not in bits. A cell reads no positive
+    mass, so it emits no ``MixedSignWarning``.
     """
-    baseline = _cell_baseline(spec, anomaly.shape, w0)
-    s, ss = _shifted_totals(spec, anomaly - baseline.mu0_hat, n_ooc)
-    g = readings_from_totals(s, ss, anomaly.size, baseline.sigma2_hat, mode).g
+    n, a_bar, alpha, h_true = pattern
+    b_bar, beta, sigma2_hat = _baseline_draws(spec, n, a_bar, alpha, w0)
+    s, ss = _shifted_totals(spec, n, b_bar, beta, n_ooc)
+    g = readings_from_totals(s, ss, n, sigma2_hat, mode).g
     return error_band(np.abs(g - h_true))
 
 
@@ -312,11 +359,11 @@ def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
 
 
 def _sweep(grid, cells, tag, seed, w0, n_ooc, mode, replicates, workers):
-    """Band every ``(value, anomaly, sigma, key)`` cell once per replicate,
+    """Band every ``(value, pattern, sigma, key)`` cell once per replicate,
     seeded ``subseed(seed, tag, key, rep)``, and table the bands by value.
     Every job's ``NoiseSpec`` is built before any cell runs, so a bad sigma
     or seed, or a value repeated in the ``grid`` named, fails the sweep up
-    front.
+    front. A grid value's pattern is shared by its replicates.
 
     Cells are independent, so with ``workers`` > 1 they run on that many
     threads without changing any value.
@@ -334,13 +381,11 @@ def _sweep(grid, cells, tag, seed, w0, n_ooc, mode, replicates, workers):
         if key in seen:
             raise ValueError(f"{grid} repeats the value {value!r}")
         seen.add(key)
-    jobs = []
-    for _, anomaly, sigma, key in cells:
-        h_true = hoyer_index(anomaly)
-        jobs += [
-            (anomaly, h_true, NoiseSpec(sigma, subseed(seed, tag, key, rep)))
-            for rep in range(replicates)
-        ]
+    jobs = [
+        (pattern, NoiseSpec(sigma, subseed(seed, tag, key, rep)))
+        for _, pattern, sigma, key in cells
+        for rep in range(replicates)
+    ]
 
     def run(job):
         return _cell_band(*job, w0, n_ooc, mode)
@@ -373,19 +418,19 @@ def run_robustness(
     ``dims``, read each of ``n_ooc`` shifted frames against it, and band
     the absolute errors against the anomaly's true index. The baseline and
     each shifted residual's two totals are drawn from their exact law (see
-    ``_cell_band``), so a cell costs one noise frame whatever ``w0`` and
-    ``n_ooc`` are. Returns {sigma: ErrorBand}; with ``replicates`` > 1 each
-    entry is the per-field median over replicate bands. A repeated sigma is
-    refused. Cells may be fanned out over ``workers`` threads without
-    changing any value.
+    ``_cell_band``), so a cell makes no frame and costs the same whatever
+    ``dims`` and ``w0`` are. Returns {sigma: ErrorBand}; with
+    ``replicates`` > 1 each entry is the per-field median over replicate
+    bands. A repeated sigma is refused. Cells may be fanned out over
+    ``workers`` threads without changing any value.
     """
     sigmas = [float(s) for s in sigmas]
     if not sigmas:
         raise ValueError("empty sigma grid")
     if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
         raise ValueError(f"sigmas must be finite and > 0, got {sigmas}")
-    anomaly = _fixed_anomaly(kind, *dims)
-    cells = [(s, anomaly, s, float_key(s)) for s in sigmas]
+    pattern = _row_pattern(_fixed_row(kind, *dims), dims[0])
+    cells = [(s, pattern, s, float_key(s)) for s in sigmas]
     return _sweep("sigmas", cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
 
@@ -403,13 +448,14 @@ def run_consistency(
     """Error bands of the corrected index across dimension multipliers, fixed noise.
 
     Same cell pipeline as ``run_robustness`` but the anomaly is the size-c
-    rendering for each multiplier in ``cs`` and sigma stays fixed. Returns
-    {c: ErrorBand}.
+    rendering for each multiplier in ``cs`` and sigma stays fixed. Only
+    one row of each rendering is built, once per c, so no cell makes a
+    frame at any c. Returns {c: ErrorBand}.
     """
     cs = [int(c) for c in cs]
     if not cs:
         raise ValueError("empty multiplier grid")
-    cells = [(c, make_scaled_anomaly(kind, c), sigma, c) for c in cs]
+    cells = [(c, _row_pattern(_scaled_row(kind, c), c), sigma, c) for c in cs]
     return _sweep("cs", cells, CONSISTENCY_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
 
@@ -523,7 +569,7 @@ def verify_noise_domination(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    a = np.tile(_fixed_anomaly(kind, 100, 200), (2, 1))
+    a = _repeat_row(_fixed_row(kind, 100, 200), 200)
     predicted = hoyer_index(a) + noise_bias(exact_moments(a, sigma))
     spec = NoiseSpec(sigma, seed)
     values = [

@@ -69,6 +69,12 @@ class TestIndex:
         write_matrix_csv(np.full((4, 5), 8.0), "x.csv")
         assert main(["index", "x.csv", "--baseline", "ic", "--w0", "0"]) == 2
         assert capsys.readouterr().err == "error: w0 must be >= 2, got 0\n"
+        # The w0 is refused before any frame is decoded, so an undecodable
+        # file in the directory does not turn it into an I/O error.
+        with open("ic/frame_3.csv", "wb") as fh:
+            fh.write(b"\xff,1\n")
+        assert main(["index", "x.csv", "--baseline", "ic", "--w0", "1"]) == 2
+        assert capsys.readouterr().err == "error: w0 must be >= 2, got 1\n"
 
     def test_bad_dims_exit_2(self, in_tmp, capsys):
         write_matrix_csv(np.ones((1, 1)), "tiny.csv")
@@ -179,6 +185,57 @@ def test_replicate_sweep_does_not_import_numpy_ma(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
+
+
+_RUN_OUTPUTS = (
+    "import sys\n"
+    "from hoyerstream import cli\n"
+    "out = sys.argv[1]\n"
+    "sys.exit(cli.main(['simulate', 'robustness', '--kind', 'dense', '--seed', '7',\n"
+    "                   '--out', out + '/r.json'])\n"
+    "         or cli.main(['monitor', '--frames', 'frames', '--w0', '10', '--tau-from', '11',\n"
+    "                      '--tau-to', '30', '--out', out + '/s.csv']))\n"
+)
+
+
+def _enabled_dispatch_targets() -> list[str]:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def test_outputs_do_not_depend_on_cpu_dispatch(tmp_path):
+    # NumPy picks SIMD kernels at import, from the CPU features beyond its
+    # build baseline; NPY_DISABLE_CPU_FEATURES switches them off. A seed-7
+    # robustness report and a 16-bit PGM monitor series must have the same
+    # bytes with every such target this CPU enables and with none of them.
+    targets = _enabled_dispatch_targets()
+    if not targets:
+        pytest.skip("this CPU enables no NumPy dispatch target")
+    frames = simulate_residual_stream(
+        make_sparse_anomaly(12, 60) * 40.0, NoiseSpec(20.0, 3), 20, 10
+    )
+    (tmp_path / "frames").mkdir()
+    for k, frame in enumerate(frames, start=1):
+        write_pgm(np.rint(frame + 1000.0), tmp_path / "frames" / f"f_{k:02d}.pgm", maxval=4095)
+    src = str(Path(hoyerstream.__file__).resolve().parent.parent)
+    outputs = []
+    for disabled in (None, " ".join(targets)):
+        env = dict(os.environ)
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = disabled
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / ("baseline" if disabled else "dispatched")
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-c", _RUN_OUTPUTS, str(out)],
+            cwd=tmp_path, env=env, capture_output=True, timeout=120, check=True,
+        )
+        outputs.append([(out / name).read_bytes() for name in ("r.csv", "s.csv")])
+    assert outputs[0] == outputs[1], targets
 
 
 class TestMonitor:

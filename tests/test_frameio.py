@@ -384,12 +384,15 @@ def test_truncated_or_mutated_payload_raises_only_reader_errors(fuzz_dir, source
     [
         ("latin1.csv", b"1.0,2.0\n\xff\xfe,3.0\n", "line 2, column 1: non-numeric"),
         ("huge.pgm", b"P2\n2 1\n255\n1" + b"0" * 400 + b" 0\n", r"outside \[0, 255\]"),
+        ("above8.pgm", b"P5\n2 1\n200\n" + bytes([200, 201]), r"outside \[0, 200\]"),
+        ("above16.pgm", b"P5\n2 1\n1000\n\x03\xe8\x03\xe9", r"outside \[0, 1000\]"),
     ],
-    ids=["non_utf8_csv", "p2_past_float64"],
+    ids=["non_utf8_csv", "p2_past_float64", "p5_8bit_above_maxval", "p5_16bit_above_maxval"],
 )
 def test_reader_defects_found_by_fuzzing(tmp_path, name, content, message):
     # A non-UTF-8 CSV raised UnicodeDecodeError, and a P2 sample past the
-    # float64 range raised OverflowError.
+    # float64 range raised OverflowError. The P5 cases hold a last sample
+    # one above maxval (201 > 200 in one byte, 1001 > 1000 in two).
     p = tmp_path / name
     p.write_bytes(content)
     with pytest.raises(FrameFormatError, match=message):

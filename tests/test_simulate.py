@@ -29,14 +29,18 @@ from hoyerstream import (
     verify_noise_domination,
     verify_noise_sparsity_decay,
 )
+from hoyerstream.errors import DimensionError
 from hoyerstream.indices import hoyer_from_totals, moments_from_stats
 from hoyerstream.kernels import matrix_stats
 from hoyerstream.simulate import (
     CELL_BASELINE_TAG,
     CELL_STATS_TAG,
     ROBUSTNESS_TAG,
+    _baseline_draws,
     _cell_band,
-    _cell_baseline,
+    _fixed_row,
+    _row_pattern,
+    _scaled_row,
     _shifted_totals,
     error_band,
     float_key,
@@ -83,6 +87,31 @@ class TestAnomalyFactories:
         assert np.array_equal(make_scaled_anomaly("sparse", 100), make_sparse_anomaly(100, 200))
         a = make_scaled_anomaly("sparse", 100)
         assert hoyer_index(a) == pytest.approx(hoyer_oracle(a), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "row, p1",
+        [(_fixed_row("dense", 100, 200), 100), (_fixed_row("sparse", 100, 200), 100)]
+        + [(_scaled_row(kind, c), c) for kind in ("dense", "sparse") for c in (10, 30, 100)],
+    )
+    def test_row_pattern_is_the_matrix_pattern(self, row, p1):
+        # A cell reads (n, mean, ||A - mean||, index) from the one row.
+        # Every total over these patterns is exact, so the values are the
+        # matrix's own bits.
+        a = np.ascontiguousarray(np.broadcast_to(row, (p1, row.size)))
+        n = a.size
+        a_bar = matrix_stats(a)[0] / n
+        alpha = math.sqrt(matrix_stats(a - a_bar)[1])
+        assert _row_pattern(row, p1) == (n, a_bar, alpha, hoyer_index(a))
+
+    def test_row_pattern_of_other_dims(self):
+        a = make_sparse_anomaly(7, 130)
+        n, a_bar, alpha, h_true = _row_pattern(a[0], 7)
+        assert n == a.size
+        assert a_bar == pytest.approx(a.mean(), rel=1e-15)
+        assert alpha == pytest.approx(np.linalg.norm(a - a.mean()), rel=1e-13)
+        assert h_true == pytest.approx(hoyer_oracle(a), rel=1e-13)
+        with pytest.raises(DimensionError, match="too small"):
+            run_robustness([1.0], "dense", 0, dims=(1, 1))
 
     def test_invalid_multiplier(self):
         for c in (0, -10, 15, 7):
@@ -179,9 +208,10 @@ class TestKeyDerivation:
         )
 
     def test_constant_generator_constructions_per_cell(self, monkeypatch):
-        # A cell builds one generator per keyed draw (four) and one more
+        # A cell builds one generator per key (three) and one more
         # SeedSequence for its seed: the counts must not grow with the
-        # stream or the baseline window, only with the number of cells.
+        # stream, the baseline window or the frame, only with the number of
+        # cells.
         counts = collections.Counter()
         for name in ("Philox", "Generator", "SeedSequence"):
             original = getattr(np.random, name)
@@ -192,15 +222,18 @@ class TestKeyDerivation:
 
             monkeypatch.setattr(np.random, name, build)
 
-        def constructions(w0=20, n_ooc=10, replicates=1):
+        def constructions(w0=20, n_ooc=10, replicates=1, dims=(100, 200)):
             counts.clear()
-            run_robustness([1.0], "dense", 5, w0=w0, n_ooc=n_ooc, replicates=replicates)
+            run_robustness(
+                [1.0], "dense", 5, w0=w0, n_ooc=n_ooc, replicates=replicates, dims=dims
+            )
             return dict(counts)
 
         per_cell = constructions()
-        assert per_cell == {"SeedSequence": 5, "Philox": 4, "Generator": 4}, per_cell
+        assert per_cell == {"SeedSequence": 4, "Philox": 3, "Generator": 3}, per_cell
         assert constructions(n_ooc=40) == per_cell
         assert constructions(w0=200) == per_cell
+        assert constructions(dims=(10_000, 20_000)) == per_cell
         assert constructions(replicates=2) == {k: 2 * v for k, v in per_cell.items()}
 
         # Each verifier builds one generator per replicate.
@@ -219,8 +252,8 @@ class TestKeyDerivation:
 
 class _CountingRng:
     """Passes a generator's draws through, logging the shape of each normal
-    draw into ``normals`` and the size of each chi-square draw into
-    ``chisquares``."""
+    draw into ``normals`` and the degrees of freedom and size of each
+    chi-square draw into ``chisquares``."""
 
     def __init__(self, rng, normals, chisquares):
         self.rng, self.normals, self.chisquares = rng, normals, chisquares
@@ -230,7 +263,7 @@ class _CountingRng:
         return self.rng.standard_normal(size)
 
     def chisquare(self, df, size=None):
-        self.chisquares.append(size)
+        self.chisquares.append((df, size))
         return self.rng.chisquare(df, size)
 
 
@@ -250,37 +283,63 @@ def _median_of_means_misses(values, target, sd):
 
 
 class TestCellBaseline:
-    """A cell's baseline is drawn from the law of ``fit_baseline`` on w0
-    frames of iid N(0, sigma^2) noise: per pixel mu0_hat ~ N(0, sigma^2/w0),
-    and sigma2_hat = sigma^2·X/df with X ~ chi-square(df), df = n·(w0 - 1)."""
+    """A cell draws the mean b_bar and squared spread beta^2 = ||b - b_bar||^2
+    of b = A - mu0_hat, and sigma2_hat, from the law of ``fit_baseline`` on
+    w0 frames of iid N(0, sigma^2) noise. With tau^2 = sigma^2 / w0, n
+    entries, a_bar = mean(A) and alpha = ||A - a_bar||: b_bar is
+    N(a_bar, tau^2 / n); beta^2 / tau^2 is noncentral chi-square with n - 1
+    degrees of freedom and noncentrality lam = alpha^2 / tau^2, independent
+    of b_bar, so E beta^2 = alpha^2 + (n - 1)·tau^2 and its cumulants are
+    k2 = 2(n - 1 + 2·lam), k4 = 48(n - 1 + 4·lam) in units of tau^4 and
+    tau^8; and sigma2_hat = sigma^2·X/df with X ~ chi-square(df),
+    df = n·(w0 - 1), independent of both."""
 
     @pytest.mark.parametrize("shape, w0", [((2, 3), 2), ((2, 3), 3), ((3, 4), 2)])
     def test_first_two_moments_match_the_law_and_fit_baseline(self, shape, w0):
-        # Each case runs 2·(2 + 2n) median-of-means checks, 108 over the
-        # three cases, so the test fails falsely with probability below
-        # 108 · 1.7e-9 < 2e-7.
+        # Each case runs 7 median-of-means checks for each of the two
+        # sources, 42 over the three cases, so the test fails falsely with
+        # probability below 42 · 1.7e-9 < 1e-7.
         sigma = 1.5
-        df = shape[0] * shape[1] * (w0 - 1)
+        a = np.arange(shape[0] * shape[1], dtype=np.float64).reshape(shape) % 3
+        n = a.size
+        a_bar = math.fsum(a.ravel()) / n
+        alpha = math.sqrt(math.fsum((a.ravel() - a_bar) ** 2))
         cells = _BLOCKS * 200
-        drawn = [_cell_baseline(NoiseSpec(sigma, seed), shape, w0) for seed in range(cells)]
+        drawn = np.array(
+            [_baseline_draws(NoiseSpec(sigma, seed), n, a_bar, alpha, w0) for seed in range(cells)]
+        )
+        drawn[:, 1] **= 2
         cells = _BLOCKS * 40
         rng = np.random.Generator(np.random.Philox(2024))
-        fitted = [
-            fit_baseline(sigma * rng.standard_normal(shape) for _ in range(w0))
-            for _ in range(cells)
-        ]
-        for name, baselines in (("drawn", drawn), ("fit_baseline", fitted)):
-            s2 = np.array([b.sigma2_hat for b in baselines])
-            mu = np.array([b.mu0_hat.ravel() for b in baselines])
+        fitted = []
+        for _ in range(cells):
+            baseline = fit_baseline(sigma * rng.standard_normal(shape) for _ in range(w0))
+            b = a - baseline.mu0_hat
+            fitted.append((b.mean(), ((b - b.mean()) ** 2).sum(), baseline.sigma2_hat))
+        fitted = np.array(fitted)
+
+        df = n * (w0 - 1)
+        tau2 = sigma**2 / w0
+        lam = alpha**2 / tau2
+        k2, k4 = 2 * (n - 1 + 2 * lam), 48 * (n - 1 + 4 * lam)
+        mean_beta2 = alpha**2 + (n - 1) * tau2
+        for name, (b_bar, beta2, s2) in (("drawn", drawn.T), ("fit_baseline", fitted.T)):
             checks = {
+                "b_bar mean": (b_bar, a_bar, math.sqrt(tau2 / n)),
+                "b_bar variance": ((b_bar - a_bar) ** 2, tau2 / n, math.sqrt(2) * tau2 / n),
+                "beta^2 mean": (beta2, mean_beta2, tau2 * math.sqrt(k2)),
+                "beta^2 variance": (
+                    (beta2 - mean_beta2) ** 2, tau2**2 * k2, tau2**2 * math.sqrt(k4 + 2 * k2**2)
+                ),
+                "covariance": (
+                    (b_bar - a_bar) * (beta2 - mean_beta2), 0.0, math.sqrt(tau2 / n * tau2**2 * k2)
+                ),
                 "sigma2_hat mean": (s2, sigma**2, sigma**2 * math.sqrt(2 / df)),
                 "sigma2_hat variance": (
                     (s2 - sigma**2) ** 2,
                     2 * sigma**4 / df,
                     sigma**4 * math.sqrt(8 * df**2 + 48 * df) / df**2,
                 ),
-                "mu0_hat mean": (mu, 0.0, sigma / math.sqrt(w0)),
-                "mu0_hat variance": (mu**2, sigma**2 / w0, math.sqrt(2) * sigma**2 / w0),
             }
             missed = [
                 check
@@ -292,13 +351,15 @@ class TestCellBaseline:
 
 class TestShiftedTotals:
     """A cell draws each shifted residual's entry sum s and sum of squares
-    ss from their exact joint law. For r = b + e, e iid N(0, sigma^2) over
-    n entries, S = sum(b), B = ||b||^2 and lam = B / sigma^2: s is
-    N(S, n·sigma^2); ss / sigma^2 is noncentral chi-square with n degrees
-    of freedom and noncentrality lam, so E ss = B + n·sigma^2 and its
-    cumulants are k2 = 2(n + 2·lam), k4 = 48(n + 4·lam) in units of
-    sigma^4 and sigma^8; Cov(s, ss) = 2·sigma^2·S, and the product of the
-    two deviations has variance n·sigma^4·(4·S^2/n + 4·B + (2n + 8)·sigma^2)."""
+    ss from their exact joint law, given n, the mean b_bar and the spread
+    beta = ||b - b_bar|| of its residual mean b. For r = b + e, e iid
+    N(0, sigma^2) over n entries, S = sum(b), B = ||b||^2 and
+    lam = B / sigma^2: s is N(S, n·sigma^2); ss / sigma^2 is noncentral
+    chi-square with n degrees of freedom and noncentrality lam, so
+    E ss = B + n·sigma^2 and its cumulants are k2 = 2(n + 2·lam),
+    k4 = 48(n + 4·lam) in units of sigma^4 and sigma^8; Cov(s, ss) =
+    2·sigma^2·S, and the product of the two deviations has variance
+    n·sigma^4·(4·S^2/n + 4·B + (2n + 8)·sigma^2)."""
 
     @pytest.mark.parametrize(
         "anomaly", [[[1.5, 0.5]], [[2.0, 1.0, 0.0]], [[2.0, 1.0, 0.0], [0.0, 1.0, 2.0]]]
@@ -312,14 +373,17 @@ class TestShiftedTotals:
         n = a.size
         spec = NoiseSpec(sigma, 2025)
         count = _BLOCKS * 200
-        mu0_hat = _cell_baseline(spec, a.shape, w0).mu0_hat
-        drawn = _shifted_totals(spec, a - mu0_hat, count)
+        # b as a cell's baseline leaves it: the anomaly less a mean of w0
+        # noise frames.
         rng = np.random.Generator(np.random.Philox(2025))
+        b = a - sigma / math.sqrt(w0) * rng.standard_normal(a.shape)
+        b_bar = matrix_stats(b)[0] / n
+        drawn = _shifted_totals(spec, n, b_bar, math.sqrt(matrix_stats(b - b_bar)[1]), count)
         noise = sigma * rng.standard_normal((count,) + a.shape)
-        real = np.array([matrix_stats(a + e - mu0_hat)[:2] for e in noise]).T
+        real = np.array([matrix_stats(b + e)[:2] for e in noise]).T
 
-        b = [float(v) for v in (a - mu0_hat).ravel()]
-        big_s, big_b = math.fsum(b), math.fsum(v * v for v in b)
+        values = [float(v) for v in b.ravel()]
+        big_s, big_b = math.fsum(values), math.fsum(v * v for v in values)
         mean_ss = big_b + n * sigma**2
         lam = big_b / sigma**2
         k2, k4 = 2 * (n + 2 * lam), 48 * (n + 4 * lam)
@@ -344,9 +408,9 @@ class TestShiftedTotals:
         # A noise level whose square overflows gives no finite total, and
         # a blank residual with vanishing noise none above the smallest
         # normal float: the cell refuses both rather than read them.
-        for sigma, b in ((1e200, np.ones((2, 3))), (1e-200, np.zeros((2, 3)))):
+        for sigma, b_bar in ((1e200, 1.0), (1e-200, 0.0)):
             with pytest.raises(ValueError, match="normal float range"):
-                _shifted_totals(NoiseSpec(sigma, 1), b, 4)
+                _shifted_totals(NoiseSpec(sigma, 1), 6, b_bar, 0.0, 4)
         # Such a noise level fails the cell's baseline first, as a bad
         # input, not as an arithmetic error.
         with pytest.raises(ValueError, match="sigma2_hat must be finite"):
@@ -441,32 +505,41 @@ class TestSweepDrivers:
     def test_robustness_composes_from_public_ops(self):
         # A one-sigma sweep must equal the same pipeline assembled by hand
         # from NumPy generators at the documented keys and the documented
-        # formulas: the cell seed; the baseline's noise frame over sqrt(w0)
-        # and its chi-square with n·(w0 - 1) degrees of freedom scaled to
-        # sigma2_hat; then, for b = A - mu0_hat, each shifted residual's
-        # sum and sum of squares from z1, z2 and a chi-square with n - 2
-        # degrees of freedom; each read by the one index and moment
-        # formulas and the correction.
+        # formulas: the cell seed; the anomaly's n, mean a_bar and spread
+        # alpha; sigma2_hat from a chi-square with n·(w0 - 1) degrees of
+        # freedom; the residual mean's b_bar and beta from two normals and
+        # a chi-square C0 with n - 2 degrees of freedom; then each shifted
+        # residual's sum and sum of squares from z1, z2 and a chi-square
+        # with n - 2 degrees of freedom; each read by the one index and
+        # moment formulas and the correction.
         sigma, master, w0, n_ooc = 1.5, 77, 50, 40
         table = run_robustness([sigma], "dense", master, w0=w0, n_ooc=n_ooc)
         a = make_dense_anomaly(100, 200)
         n, h_true = a.size, hoyer_index(a)
+        a_bar = matrix_stats(a)[0] / n
+        alpha = math.sqrt(matrix_stats(a - a_bar)[1])
         spec = NoiseSpec(sigma, subseed(master, ROBUSTNESS_TAG, float_key(sigma), 0))
 
-        def chisquare(key, df, size=None):
+        def generator(*key):
             ss = np.random.SeedSequence(spec.seed, spawn_key=key)
-            return 2.0 * np.random.Generator(np.random.Philox(ss)).standard_gamma(df / 2, size)
+            return np.random.Generator(np.random.Philox(ss))
+
+        def chisquare(rng, df, size=None):
+            return 2.0 * rng.standard_gamma(df / 2, size)
 
         df = n * (w0 - 1)
-        mu0_hat = _reference_noise(a.shape, spec, (CELL_BASELINE_TAG, 0)) / math.sqrt(w0)
-        sigma2_hat = sigma * sigma * chisquare((CELL_BASELINE_TAG, 1), df) / df
-        b = a - mu0_hat
-        b_bar = matrix_stats(b)[0] / n
-        beta = math.sqrt(matrix_stats(b - b_bar)[1])
-        z1, z2 = _reference_noise((2, n_ooc), spec, (CELL_STATS_TAG, 0))
+        sigma2_hat = sigma * sigma * chisquare(generator(CELL_BASELINE_TAG, 1), df) / df
+        rng = generator(CELL_BASELINE_TAG, 0)
+        tau = sigma / math.sqrt(w0)
+        (y1,), (y2,) = tau * rng.standard_normal((2, 1))
+        c0 = chisquare(rng, n - 2, 1)[0]
+        b_bar = (math.sqrt(n) * a_bar + y1) / math.sqrt(n)
+        beta = math.sqrt((alpha + y2) ** 2 + tau * tau * c0)
+        rng = generator(CELL_STATS_TAG, 0)
+        z1, z2 = sigma * rng.standard_normal((2, n_ooc))
         u = math.sqrt(n) * b_bar + z1
         s = math.sqrt(n) * u
-        ss = u**2 + (beta + z2) ** 2 + sigma * sigma * chisquare((CELL_STATS_TAG, 1), n - 2, n_ooc)
+        ss = u**2 + ((beta + z2) ** 2 + sigma * sigma * chisquare(rng, n - 2, n_ooc))
         errs = []
         for s_k, ss_k in zip(s.tolist(), ss.tolist()):
             moments = moments_from_stats(s_k, ss_k, n, sigma2_hat)
@@ -474,11 +547,14 @@ class TestSweepDrivers:
         manual = error_band(errs)
         assert table[sigma] == manual
 
-    def test_cell_draws_one_noise_frame(self, monkeypatch):
-        # A cell makes one noise frame (mu0_hat) and draws 3·n_ooc + 1
-        # scalars: a (2, n_ooc) block of normals and two chi-square draws,
-        # one for sigma2_hat and n_ooc for the residuals. None of it grows
-        # with w0, and only the scalars grow with n_ooc.
+    def test_cell_draws_no_frame(self, monkeypatch):
+        # A cell draws 3·n_ooc + 4 scalars and no frame: a chi-square with
+        # n·(w0 - 1) degrees of freedom for sigma2_hat; a (2, 1) block of
+        # normals and a chi-square C0 with n - 2 for its residual mean's
+        # b_bar and beta; and a (2, n_ooc) block of normals and n_ooc
+        # chi-squares with n - 2 for the residuals' totals. The frame size
+        # and w0 enter only as degrees of freedom, and n_ooc only as a
+        # count; the chi-squares with n - 2 are skipped when n = 2.
         cells = {}
         original = simulate._rng
 
@@ -486,11 +562,17 @@ class TestSweepDrivers:
             return _CountingRng(original(seed, *key), *cells.setdefault(seed, ([], [])))
 
         monkeypatch.setattr(simulate, "_rng", counting)
-        for w0, n_ooc in ((20, 10), (200, 10), (20, 40)):
+        cases = [((10, 20), 20, 10), ((10, 20), 200, 10), ((10, 20), 20, 40),
+                 ((1000, 2000), 20, 10), ((1, 2), 20, 10)]
+        for dims, w0, n_ooc in cases:
             cells.clear()
-            run_robustness([1.0, 2.0], "dense", 5, w0=w0, n_ooc=n_ooc, dims=(10, 20))
-            cell = ([(10, 20), (2, n_ooc)], [None, n_ooc])
-            assert list(cells.values()) == [cell, cell], (w0, n_ooc)
+            run_robustness([1.0, 2.0], "dense", 5, w0=w0, n_ooc=n_ooc, dims=dims)
+            n = dims[0] * dims[1]
+            chisquares = [(n * (w0 - 1), None)]
+            if n > 2:
+                chisquares += [(n - 2, 1), (n - 2, n_ooc)]
+            cell = ([(2, 1), (2, n_ooc)], chisquares)
+            assert list(cells.values()) == [cell, cell], (dims, w0, n_ooc)
 
     def test_cells_emit_no_mixed_sign_warning(self):
         # A cell reads only each residual's sum and sum of squares, so even
@@ -512,10 +594,10 @@ class TestSweepDrivers:
     def test_replicate_aggregation_and_detail(self):
         # Each replicate is one cell at its own documented seed; the sweep
         # reports the per-field median of their bands.
-        a = make_dense_anomaly(100, 200)
+        pattern = _row_pattern(make_dense_anomaly(100, 200)[0], 100)
         bands = [
             _cell_band(
-                a, hoyer_index(a), NoiseSpec(2.0, subseed(3, ROBUSTNESS_TAG, float_key(2.0), rep)),
+                pattern, NoiseSpec(2.0, subseed(3, ROBUSTNESS_TAG, float_key(2.0), rep)),
                 20, 10, "debias",
             )
             for rep in range(3)
@@ -526,20 +608,21 @@ class TestSweepDrivers:
         assert agg.sigma_eps == float(np.median([b.sigma_eps for b in bands]))
 
     def test_cell_memory_does_not_grow_with_the_stream(self):
-        # A cell holds its baseline block and the frame being read, not the
-        # stream: 150 more shifted frames may only add their small readings.
-        def peak(n_ooc):
+        # A cell holds no frame: 150 more shifted frames may only add their
+        # small readings, and c = 1000 only its pattern's one row of 2,000
+        # entries (16 KB), not the 16 MB frame.
+        def peak(n_ooc, c):
             tracemalloc.start()
             try:
-                run_robustness([1.0], "dense", 4, w0=20, n_ooc=n_ooc, dims=(100, 200))
+                run_consistency([c], "dense", 4, w0=20, n_ooc=n_ooc)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(50)  # warm-up: first-call caches stay out of the comparison
-        short, long = peak(50), peak(200)
-        frame_bytes = 100 * 200 * 8
-        assert abs(long - short) < 10 * frame_bytes, (short, long)
+        peak(50, 10)  # warm-up: first-call caches stay out of the comparison
+        short, long, large = peak(50, 10), peak(200, 10), peak(50, 1000)
+        assert abs(long - short) < 64 * 1024, (short, long)
+        assert abs(large - short) < 64 * 1024, (short, large)
 
     def test_workers_do_not_change_results(self):
         serial = run_robustness([0.5, 1.0], "dense", 9, w0=20, n_ooc=10, replicates=2)
@@ -551,6 +634,18 @@ class TestSweepDrivers:
     def test_consistency_errors_shrink_with_size(self):
         table = run_consistency([10, 50], "dense", 13, w0=60, n_ooc=60)
         assert table[50].m_eps < table[10].m_eps
+
+    def test_consistency_error_falls_per_decade_of_c(self):
+        # The paper's consistency claim where it is asymptotic. With
+        # w0 = 10**6 the baseline's own noise is negligible, and the median
+        # m_eps of 5 replicates falls about 10x per decade of c. Over seeds
+        # 0..299, the 600 decade ratios of each kind had mean 10.0, sd 0.41
+        # and minimum 8.7, so a 5x floor is 12 sds below the mean.
+        cs = (100, 1000, 10_000)
+        for kind in ("sparse", "dense"):
+            table = run_consistency(cs, kind, 17, w0=10**6, replicates=5)
+            m = [table[c].m_eps for c in cs]
+            assert m[0] > 5 * m[1] and m[1] > 5 * m[2], (kind, m)
 
     def test_replicates_below_one_rejected(self):
         for replicates in (0, -1):
