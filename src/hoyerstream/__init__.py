@@ -17,21 +17,6 @@ from .indices import (
     hoyer_index,
     noise_bias,
 )
-from .simulate import (
-    ErrorBand,
-    NoiseSpec,
-    exact_moments,
-    make_dense_anomaly,
-    make_scaled_anomaly,
-    make_sparse_anomaly,
-    run_consistency,
-    run_robustness,
-    sample_noise,
-    simulate_residual_stream,
-    verify_bias_theorem,
-    verify_noise_domination,
-    verify_noise_sparsity_decay,
-)
 from .stream import (
     BaselineModel,
     SparsityReading,
@@ -43,6 +28,37 @@ from .stream import (
 )
 
 __version__ = "0.1.0"
+
+# The simulation's names resolve on first use (PEP 562), so commands that
+# only read frames (``monitor``, ``index``) never import the simulation or
+# its thread pool.
+_SIMULATE_NAMES = (
+    "ErrorBand",
+    "NoiseSpec",
+    "exact_moments",
+    "make_dense_anomaly",
+    "make_scaled_anomaly",
+    "make_sparse_anomaly",
+    "run_consistency",
+    "run_robustness",
+    "sample_noise",
+    "simulate_residual_stream",
+    "verify_bias_theorem",
+    "verify_noise_domination",
+    "verify_noise_sparsity_decay",
+)
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SIMULATE_NAMES))
 
 __all__ = [
     "BaselineModel",

@@ -8,6 +8,8 @@ CSV), ``monitor`` (sliding corrected readings over a frame directory), and
 Exit codes: 0 success or verification pass, 1 verification fail, 2 usage
 error, 3 I/O or file-format error. Reports embed the full configuration,
 defaults included, so any output is reproducible from its own metadata.
+``simulate`` and ``verify`` import the simulation themselves, so ``index``
+and ``monitor`` do not load it.
 """
 
 from __future__ import annotations
@@ -28,13 +30,6 @@ from .frameio import (
     write_series_csv,
 )
 from .indices import MOMENT_MODES, hoyer_index
-from .simulate import (
-    run_consistency,
-    run_robustness,
-    verify_bias_theorem,
-    verify_noise_domination,
-    verify_noise_sparsity_decay,
-)
 from .stream import corrected_reading, fit_baseline, monitor_series
 
 DEFAULT_SIGMAS = [0.5 * k for k in range(1, 13)]  # 0.5 .. 6.0
@@ -127,6 +122,8 @@ def _band_cells(table, x_name: str) -> list[dict]:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import run_consistency, run_robustness
+
     if args.workers < 0:
         raise ValueError(f"--workers must be >= 0 (0 = auto), got {args.workers}")
     workers = args.workers if args.workers > 0 else _auto_workers()
@@ -235,6 +232,8 @@ def cmd_monitor(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .simulate import verify_bias_theorem, verify_noise_domination, verify_noise_sparsity_decay
+
     seed = args.seed
     if args.check == "theorem1":
         reps = args.reps if args.reps is not None else 50

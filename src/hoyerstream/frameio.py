@@ -5,16 +5,20 @@ Readers never guess: ragged rows, non-numeric fields (digit grouping such
 as ``1_0`` and non-ASCII digits included), PGM header fields and P2 samples
 that are not plain ASCII digits, bad magic bytes, truncated payloads, and
 mismatched frame sizes are all hard errors naming the file (and
-line/column where that makes sense). Writers are byte-stable:
-the same values always produce the same bytes. Readings go to disk only
-through ``series_row``, the one rendering of a ``SparsityReading`` as a
-series CSV row, which both the series file and ``index --baseline`` use.
+line/column where that makes sense). PGM samples are decoded as native
+integers; ``iter_frames`` decodes a stream of them into one reused buffer,
+so reading a directory of equal PGM frames allocates no frame per file.
+Writers are byte-stable: the same values always produce the same bytes.
+Readings go to disk only through ``series_row``, the one rendering of a
+``SparsityReading`` as a series CSV row, which both the series file and
+``index --baseline`` use.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -101,22 +105,19 @@ def write_matrix_csv(matrix, path):
             fh.write("\n")
 
 
-def _pgm_tokens(data: bytes, path: Path):
+# One PGM header token: whitespace and '#' comments skipped, then a run of
+# bytes that are neither. A comment runs to the end of its line or of the
+# data: the lookahead keeps a backtrack from cutting it short and reading
+# its tail as a token. ``\s`` over bytes is the set ``bytes.isspace`` takes.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]+)")
+
+
+def _pgm_tokens(data, path: Path):
     """Yield (token, end_offset) over a PGM header, honoring '#' comments."""
-    i = 0
-    while i < len(data):
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            yield data[i:j], j
-            i = j
+    end = 0
+    while match := _PGM_TOKEN.match(data, end):
+        end = match.end()
+        yield match[1], end
     raise FrameFormatError(f"{path}: truncated header")
 
 
@@ -128,15 +129,29 @@ def _pgm_ints(tokens) -> list[int]:
     return [int(t) for t in tokens]
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read a P2 (ASCII) or P5 (binary) grayscale PGM as raw intensities.
+def _read_into(path: Path, buf: bytearray) -> None:
+    """Make ``buf`` hold the bytes of the file at ``path``; its memory is
+    reused when the file has the size of the last one read into it."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        del buf[size:]
+        buf.extend(bytes(size - len(buf)))
+        del buf[fh.readinto(buf) :]  # for a file that shrank since fstat
+        buf += fh.read()  # for a file that grew since fstat
 
-    No rescaling is applied; a maxval up to 65535 is accepted (two-byte
-    big-endian samples above 255, per the format).
+
+def _decode_pgm(path: Path, buf: bytearray, out: np.ndarray | None = None) -> np.ndarray:
+    """Decode a P2 (ASCII) or P5 (binary) grayscale PGM as raw intensities:
+    ``uint8`` samples for a maxval up to 255, native ``uint16`` above (P5
+    stores those as two-byte big-endian samples, per the format).
+
+    The file is read into ``buf``, and the samples into ``out`` when it has
+    their dtype and shape (else into a new array); the array written is
+    returned, for the caller to pass back with the next file. ``out`` may be
+    overwritten by a file that turns out to be bad.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    tokens = _pgm_tokens(data, path)
+    _read_into(path, buf)
+    tokens = _pgm_tokens(buf, path)
     try:
         magic, _ = next(tokens)
     except StopIteration:
@@ -159,12 +174,15 @@ def read_pgm(path) -> np.ndarray:
         raise FrameFormatError(f"{path}: bad dimensions {width}x{height}")
     if not 1 <= maxval <= _PGM_MAX_MAXVAL:
         raise FrameFormatError(f"{path}: maxval {maxval} out of range [1, {_PGM_MAX_MAXVAL}]")
+    shape = (height, width)
+    dtype = np.dtype(np.uint16 if maxval > 255 else np.uint8)
+    if out is not None and (out.dtype != dtype or out.shape != shape):
+        out = None  # a new one is made once the payload is known to hold the frame
 
-    # Samples are checked against maxval as unsigned integers, before the
-    # one conversion to float64.
+    # Samples are checked against maxval as unsigned integers.
     if magic == b"P2":
         try:
-            samples = _pgm_ints(data[end:].split())
+            samples = _pgm_ints(buf[end:].split())
         except ValueError:
             raise FrameFormatError(f"{path}: non-integer pixel data") from None
         if len(samples) != width * height:
@@ -172,30 +190,43 @@ def read_pgm(path) -> np.ndarray:
                 f"{path}: expected {width * height} pixels, found {len(samples)}"
             )
         top = max(samples)
+        if top <= maxval:
+            out = np.empty(shape, dtype) if out is None else out
+            out.reshape(-1)[:] = samples
     else:
         # Binary payload starts after exactly one whitespace byte past maxval.
-        if not data[end : end + 1].isspace():
+        if not buf[end : end + 1].isspace():
             raise FrameFormatError(f"{path}: missing whitespace before pixel payload")
         start = end + 1
-        bytes_per = 2 if maxval > 255 else 1
-        need = width * height * bytes_per
-        payload = data[start : start + need]
-        if len(payload) < need:
+        need = width * height * dtype.itemsize
+        if len(buf) - start < need:
             raise FrameFormatError(
-                f"{path}: truncated pixel payload, expected {need} bytes, found {len(payload)}"
+                f"{path}: truncated pixel payload, expected {need} bytes, "
+                f"found {len(buf) - start}"
             )
-        if data[start + need :].strip():
+        if buf[start + need :].strip():
             raise FrameFormatError(f"{path}: trailing bytes after pixel payload")
-        if bytes_per == 2:
-            # Swapped from big-endian to native order once, for the check
-            # and the conversion alike.
-            samples = np.frombuffer(payload, dtype=">u2").astype(np.uint16)
-        else:
-            samples = np.frombuffer(payload, dtype=np.uint8)
-        top = int(samples.max())
+        # Swapped from big-endian to native order in the one copy out of
+        # ``buf``; no view of ``buf`` outlives it, so ``buf`` stays resizable.
+        out = np.empty(shape, dtype) if out is None else out
+        np.copyto(out, np.frombuffer(
+            buf, dtype=dtype.newbyteorder(">"), count=width * height, offset=start,
+        ).reshape(shape))
+        top = int(out.max())
     if top > maxval:
         raise FrameFormatError(f"{path}: pixel value outside [0, {maxval}]")
-    return np.array(samples, dtype=np.float64).reshape(height, width)
+    return out
+
+
+def read_pgm(path) -> np.ndarray:
+    """Read a P2 (ASCII) or P5 (binary) grayscale PGM as raw intensities.
+
+    No rescaling is applied; a maxval up to 65535 is accepted (two-byte
+    big-endian samples above 255, per the format). Returns a new float64
+    array the caller owns: the samples are decoded as native integers, as
+    ``iter_frames`` decodes them, and then converted.
+    """
+    return _decode_pgm(Path(path), bytearray()).astype(np.float64)
 
 
 def write_pgm(matrix, path, maxval: int = 65535):
@@ -215,15 +246,22 @@ def write_pgm(matrix, path, maxval: int = 65535):
         fh.write(rounded.astype(dtype).tobytes())
 
 
-def load_matrix(path) -> np.ndarray:
-    """Read a single matrix, dispatching on file extension (.csv/.pgm/.pnm)."""
-    path = Path(path)
+def _is_pgm(path: Path) -> bool:
+    """True for a .pgm/.pnm file, False for .csv; any other extension is a
+    FrameFormatError."""
     suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return read_matrix_csv(path)
     if suffix in (".pgm", ".pnm"):
-        return read_pgm(path)
+        return True
+    if suffix == ".csv":
+        return False
     raise FrameFormatError(f"{path}: unsupported extension {suffix!r} (use .csv or .pgm)")
+
+
+def load_matrix(path) -> np.ndarray:
+    """Read a single matrix as float64, dispatching on file extension
+    (.csv/.pgm/.pnm)."""
+    path = Path(path)
+    return read_pgm(path) if _is_pgm(path) else read_matrix_csv(path)
 
 
 def _frame_sort_index(path: Path) -> int:
@@ -257,11 +295,23 @@ def iter_frames(paths: Iterable) -> Iterator[np.ndarray]:
     """Decode frame files one at a time, in the given order.
 
     Every frame must have the first frame's shape; a mismatch is a
-    DimensionError naming the file. Only the frame being yielded is held.
+    DimensionError naming the file. CSV frames come as float64 arrays of
+    their own. PGM frames come as read-only native integers (``uint8``
+    for a maxval up to 255, ``uint16`` above) that share one reused
+    buffer: a PGM frame is valid only until the next frame is drawn, so a
+    caller that keeps one copies it. Only the frame being yielded is held.
     """
     shape = None
+    buf = bytearray()
+    samples = None
     for p in paths:
-        m = load_matrix(p)
+        p = Path(p)
+        if _is_pgm(p):
+            samples = _decode_pgm(p, buf, samples)
+            m = samples.view()
+            m.flags.writeable = False
+        else:
+            m = read_matrix_csv(p)
         if shape is None:
             shape = m.shape
         elif m.shape != shape:
@@ -274,10 +324,11 @@ def iter_frames(paths: Iterable) -> Iterator[np.ndarray]:
 def read_frame_dir(path, pattern: str = "*") -> list[np.ndarray]:
     """Read every frame file matching ``pattern`` in ascending index order.
 
-    The same files, order and checks as ``iter_frames(list_frame_dir(...))``,
-    with every frame held at once.
+    The same files, order, checks and dtypes as
+    ``iter_frames(list_frame_dir(...))``, with every frame held at once:
+    each is a copy of its own, writable and sharing no memory with another.
     """
-    return list(iter_frames(list_frame_dir(path, pattern)))
+    return [m.copy() for m in iter_frames(list_frame_dir(path, pattern))]
 
 
 def write_series_csv(readings: Iterable[SparsityReading], path):

@@ -51,8 +51,18 @@ def as_image_matrix(x, *, min_entries: int = 1) -> np.ndarray:
 
 # The reading formulas are NumPy ufuncs over arrays of k readings, run with
 # overflow and invalid operations ignored: ``_check_moments`` reports moments
-# that overflow, not a RuntimeWarning. Public scalar functions return floats.
+# that overflow, not a RuntimeWarning. Each public entry point enters this
+# state once; the private helpers it calls do not enter it again. Public
+# scalar functions return floats.
 _quiet = functools.partial(np.errstate, over="ignore", invalid="ignore")
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, for values already checked: its ``__post_init__`` does not run."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,10 @@ class SignalMoments:
     sigma2: float
 
     def __post_init__(self):
-        _check_moments(self.a_bar, self.a2_bar, self.sigma2)
+        with _quiet():
+            _check_moments(self.a_bar, self.a2_bar, self.sigma2)
 
 
-@_quiet()
 def _check_moments(a_bar, a2_bar, sigma2):
     """Raise ValueError unless the moments keep the ``SignalMoments``
     contract, elementwise over k readings (a shared ``sigma2`` broadcasts),
@@ -142,10 +152,11 @@ def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = 
     if not math.isfinite(ss) or (ss < _TINY and m.any()):
         m = m / np.abs(m).max()
         s, ss, _ = matrix_stats(m)
-    return float(hoyer_from_totals(s, ss, m.size, clip=clip))
+    # Past the rescale, ss is 0 or a normal float, which bounds |s| / sqrt(ss)
+    # by sqrt(n): the formula cannot overflow, so it needs no error state.
+    return float(_hoyer_of_totals(s, ss, m.size, clip))
 
 
-@_quiet()
 def hoyer_from_totals(s, ss, n: int, *, clip: bool = True) -> np.ndarray:
     """Index of n >= 2 entries from their sum ``s`` and sum of squares
     ``ss``: the one index formula, elementwise over arrays of totals (a
@@ -156,6 +167,12 @@ def hoyer_from_totals(s, ss, n: int, *, clip: bool = True) -> np.ndarray:
     over- or underflowed go through ``hoyer_from_matrix_stats``, which
     holds the matrix.
     """
+    with _quiet():
+        return _hoyer_of_totals(s, ss, n, clip)
+
+
+def _hoyer_of_totals(s, ss, n: int, clip: bool):
+    """``hoyer_from_totals``, in the caller's NumPy error state."""
     root_n = math.sqrt(n)
     blank = ss == 0.0
     h = (root_n - abs(s) / np.sqrt(np.where(blank, 1.0, ss))) / (root_n - 1.0)
@@ -178,10 +195,10 @@ def noise_bias(moments: SignalMoments) -> float:
     is non-decreasing in sigma2, zero at sigma2 = 0 or a_bar = 0, and
     bounded by a_bar / sqrt(a2_bar) (approached as sigma2 -> infinity).
     """
-    return float(_noise_bias(moments.a_bar, moments.a2_bar, moments.sigma2))
+    with _quiet():
+        return float(_noise_bias(moments.a_bar, moments.a2_bar, moments.sigma2))
 
 
-@_quiet()
 def _noise_bias(a_bar, a2_bar, sigma2):
     """``noise_bias`` elementwise over moments."""
     return a_bar * (1.0 / np.sqrt(a2_bar) - 1.0 / np.sqrt(a2_bar + sigma2))
@@ -222,11 +239,11 @@ def moments_from_stats(
     s: float, ss: float, n: int, sigma2_hat: float, mode: str = "debias"
 ) -> SignalMoments:
     """Moment estimates from a precomputed entry sum and sum of squares."""
-    a_bar, a2_bar = _moments_of_totals(s, ss, n, sigma2_hat, mode)
-    return SignalMoments(a_bar=float(a_bar), a2_bar=float(a2_bar), sigma2=sigma2_hat)
+    with _quiet():
+        a_bar, a2_bar = _moments_of_totals(s, ss, n, sigma2_hat, mode)
+    return _unchecked(SignalMoments, a_bar=float(a_bar), a2_bar=float(a2_bar), sigma2=sigma2_hat)
 
 
-@_quiet()
 def _moments_of_totals(s, ss, n: int, sigma2_hat: float, mode: str):
     """(a_bar, a2_bar) elementwise over totals, checked against the
     ``SignalMoments`` contract."""
@@ -268,8 +285,14 @@ def readings_from_totals(
     which stays right when ``ss`` over- or underflowed. Raises ValueError
     as ``moments_from_stats`` does, for the first bad reading.
     """
+    with _quiet():
+        return _readings_of_totals(s, ss, n, sigma2_hat, mode, h_raw)
+
+
+def _readings_of_totals(s, ss, n: int, sigma2_hat: float, mode: str, h_raw=None) -> TotalsReadings:
+    """``readings_from_totals``, in the caller's NumPy error state."""
     if h_raw is None:
-        h_raw = hoyer_from_totals(s, ss, n)
+        h_raw = _hoyer_of_totals(s, ss, n, True)
     a_bar, a2_bar = _moments_of_totals(s, ss, n, sigma2_hat, mode)
     bias = _noise_bias(a_bar, a2_bar, sigma2_hat)
     return TotalsReadings(h_raw, a_bar, a2_bar, bias, *_correct(h_raw, bias))

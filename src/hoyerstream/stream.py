@@ -13,6 +13,12 @@ read: a monitor run is ``fit_baseline(frames, w0)`` followed by
 ``monitor_series`` over the same iterator. Frame positions are plain 0-based
 counts of the items drawn; callers with their own frame numbering pass
 ``t_offset`` so emitted readings carry labels in that numbering.
+
+Frames are float or integer matrices. An integer frame (a decoded PGM, say)
+is read as it is, never copied to float64, and gives the bits its float64
+copy would. No function here holds a drawn frame past the next draw, so a
+stream may hand out every frame in one reused buffer, as
+``frameio.iter_frames`` does.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ from .indices import (
     SignalMoments,
     _correct,
     _quiet,
+    _readings_of_totals,
+    _unchecked,
     as_image_matrix,
     hoyer_from_matrix_stats,
-    readings_from_totals,
 )
 from .kernels import matrix_stats
 
@@ -90,9 +97,18 @@ class SparsityReading:
         object.__setattr__(self, "g", float(g))
 
 
+def _as_frame(x) -> np.ndarray:
+    """An integer matrix as it is (finite, and cast to float64 with the bits
+    ``as_image_matrix`` would give); anything else through
+    ``as_image_matrix``."""
+    if isinstance(x, np.ndarray) and x.dtype.kind in "iu" and x.ndim == 2 and x.size:
+        return x
+    return as_image_matrix(x)
+
+
 def _checked_frames(frames, count: int | None = None):
     """Yield the first ``count`` frames (all when None) of any iterable as
-    float64 matrices of one shape, drawing no item past them. Raise
+    ``_as_frame`` matrices of one shape, drawing no item past them. Raise
     ValueError for a ``count`` below 1 before drawing any; at the end,
     DimensionError for no frames, ValueError for fewer than ``count``."""
     if count is not None and count < 1:
@@ -100,7 +116,7 @@ def _checked_frames(frames, count: int | None = None):
     items = iter(frames) if count is None else itertools.islice(frames, count)
     m = 0
     for m, f in enumerate(items, start=1):
-        mat = as_image_matrix(f)
+        mat = _as_frame(f)
         if m == 1:
             shape = mat.shape
         elif mat.shape != shape:
@@ -134,7 +150,9 @@ def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
     ``w0`` is None), in one pass over five frames of state.
 
     ``mu0_hat`` is the frames' float64 sum, in order, over m: the bits of
-    ``np.stack(frames).mean(axis=0)`` on frames of two or more entries.
+    ``np.stack(frames).mean(axis=0)`` on float64 frames of two or more
+    entries. Integer frames give the bits of their float64 copies: each
+    frame after the first is cast into one reused float64 buffer.
     ``sigma2_hat = sum(M2) / (p1·p2·(m - 1))`` is unbiased; each pixel's M2
     is sum(d**2) - sum(d)**2 / m, clamped at 0, over the data shifted by the
     first frame, d = x - x_0 (Chan, Golub & LeVeque, 1983), so identical
@@ -152,15 +170,16 @@ def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
     if w0 is not None and w0 < 2:
         raise ValueError(f"w0 must be >= 2, got {w0!r}")
     mats = _checked_frames(frames, w0)
-    x0 = next(mats).copy()
+    x0 = next(mats).astype(np.float64)
     total = x0.copy()
     shifted_sum = np.zeros_like(x0)
     shifted_sq = np.zeros_like(x0)
     d = np.empty_like(x0)
     m = 1
     for m, x in enumerate(mats, start=2):
-        total += x
-        np.subtract(x, x0, out=d)
+        np.copyto(d, x)  # exact: the frame as float64
+        total += d
+        d -= x0
         shifted_sum += d
         d *= d
         shifted_sq += d
@@ -171,37 +190,57 @@ def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
     return BaselineModel(mu0_hat=total / m, sigma2_hat=sigma2_hat, w0=m)
 
 
-def residual(x, baseline: BaselineModel) -> np.ndarray:
-    """Frame minus the baseline mean."""
-    m = as_image_matrix(x)
+def _baseline_frame(x, baseline: BaselineModel) -> np.ndarray:
+    """``_as_frame(x)``, checked to have the baseline's shape."""
+    m = _as_frame(x)
     if m.shape != baseline.shape:
         raise DimensionError(
             f"frame shape {m.shape} does not match baseline shape {baseline.shape}"
         )
-    return m - baseline.mu0_hat
+    return m
 
 
-def _residual_readings(residuals, sigma2_hat: float, mode: str) -> list[SparsityReading]:
-    """Corrected readings of ``(t, r)`` pairs, ``r`` a residual matrix, all
-    of one shape, in one ``readings_from_totals`` pass over their totals
-    (as a simulation cell reads its own). The raw index is read from ``r``
-    itself, so it stays right when the sum of squares over- or underflowed."""
+def residual(x, baseline: BaselineModel) -> np.ndarray:
+    """Frame minus the baseline mean."""
+    return _baseline_frame(x, baseline) - baseline.mu0_hat
+
+
+def _readings(
+    frames, baseline: BaselineModel, sigma2_hat: float, mode: str
+) -> list[SparsityReading]:
+    """Corrected readings of ``(t, x)`` pairs, ``x`` a frame of the
+    baseline's shape, against ``sigma2_hat``.
+
+    Each frame is subtracted into one reused residual buffer and reduced to
+    its totals, and the totals are read in one ``readings_from_totals`` pass
+    (as a simulation cell reads its own), which checks and clamps every
+    reading once. The raw index is read from the residual itself, so it
+    stays right when the sum of squares over- or underflowed. NumPy's
+    overflow and invalid warnings are off throughout: an overflowing
+    residual is the moment check's ValueError.
+    """
+    r = np.empty(baseline.shape)
     ts, totals = [], []
-    for t, r in residuals:
-        if r.size < 2:
-            raise DimensionError("index needs at least 2 entries per frame")
-        with _quiet():
+    with _quiet():
+        for t, x in frames:
+            np.copyto(r, _baseline_frame(x, baseline))  # exact: the frame as float64
+            r -= baseline.mu0_hat
+            if r.size < 2:
+                raise DimensionError("index needs at least 2 entries per frame")
             s, ss, pos = matrix_stats(r)
-        _warn_if_mixed_sign(s, pos)
-        ts.append(t)
-        totals.append((s, ss, hoyer_from_matrix_stats(r, s, ss)))
-    if not ts:
-        return []
-    s, ss, h_raw = np.array(totals).T
-    got = readings_from_totals(s, ss, r.size, sigma2_hat, mode, h_raw)
+            _warn_if_mixed_sign(s, pos)
+            ts.append(t)
+            totals.append((s, ss, hoyer_from_matrix_stats(r, s, ss)))
+        if not ts:
+            return []
+        s, ss, h_raw = np.array(totals).T
+        got = _readings_of_totals(s, ss, r.size, sigma2_hat, mode, h_raw)
     return [
-        SparsityReading(t, h, bias, SignalMoments(a_bar, a2_bar, sigma2_hat))
-        for t, h, a_bar, a2_bar, bias in zip(ts, *(v.tolist() for v in got[:4]))
+        _unchecked(
+            SparsityReading, t=t, h_raw=h, bias=bias, g=g, g_unclamped=unclamped,
+            moments=_unchecked(SignalMoments, a_bar=a_bar, a2_bar=a2_bar, sigma2=sigma2_hat),
+        )
+        for t, h, a_bar, a2_bar, bias, unclamped, g in zip(ts, *(v.tolist() for v in got))
     ]
 
 
@@ -219,7 +258,7 @@ def corrected_reading(
     is not a finite float64 (entries near 1e200, say) raises ValueError
     ("a2_bar must be finite").
     """
-    return _residual_readings([(t, residual(x, baseline))], baseline.sigma2_hat, mode)[0]
+    return _readings([(t, x)], baseline, baseline.sigma2_hat, mode)[0]
 
 
 def windowed_reading(
@@ -233,12 +272,11 @@ def windowed_reading(
     as the window grows.
     """
     mats = _checked_frames(frames, w)
-    total = next(mats).copy()
+    total = next(mats).astype(np.float64)
     m = 1
     for m, x in enumerate(mats, start=2):
         total += x
-    avg_resid = residual(total / m, baseline)
-    return _residual_readings([(t, avg_resid)], baseline.sigma2_hat / m, mode)[0]
+    return _readings([(t, total / m)], baseline, baseline.sigma2_hat / m, mode)[0]
 
 
 def monitor_series(
@@ -257,14 +295,15 @@ def monitor_series(
     the one before, or past the end of ``frames`` raises IndexError.
     Deterministic given the inputs; an empty range yields an empty list.
 
-    Each frame is reduced to its residual's totals as it is drawn; all the
-    totals are then read in one array pass, bit for bit as
+    Each frame is subtracted into one reused residual buffer and reduced to
+    its totals as it is drawn; all the totals are then read in one array
+    pass, bit for bit as
     ``corrected_reading`` reads each frame. So a moment error (the first
     bad reading's ValueError) comes after every position was drawn: a bad
     position or frame outranks a moment error at an earlier frame.
     """
 
-    def residuals():
+    def positions():
         items = iter(frames)
         drawn = 0
         for tau in tau_range:
@@ -274,6 +313,6 @@ def monitor_series(
             if frame is _END:
                 raise IndexError(f"frame position {tau} out of range: fewer than {tau + 1} frames")
             drawn = tau + 1
-            yield tau + t_offset, residual(frame, baseline)
+            yield tau + t_offset, frame
 
-    return _residual_readings(residuals(), baseline.sigma2_hat, mode)
+    return _readings(positions(), baseline, baseline.sigma2_hat, mode)

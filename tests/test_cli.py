@@ -187,6 +187,37 @@ def test_replicate_sweep_does_not_import_numpy_ma(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
 
 
+_READ_ONLY_MODULES = (
+    "import sys\n"
+    "import hoyerstream.cli\n"
+    "loaded = {'hoyerstream.simulate', 'concurrent.futures'} & set(sys.modules)\n"
+    "code = hoyerstream.cli.main(['monitor', '--frames', 'frames', '--w0', '4',\n"
+    "                             '--tau-from', '5', '--tau-to', '8', '--out', 's.csv'])\n"
+    "code |= hoyerstream.cli.main(['index', 'frames/f_8.pgm', '--baseline', 'frames',\n"
+    "                              '--w0', '4'])\n"
+    "loaded |= {'hoyerstream.simulate', 'concurrent.futures'} & set(sys.modules)\n"
+    "print(code, sorted(loaded))\n"
+)
+
+
+def test_monitor_and_index_do_not_import_the_simulation(tmp_path):
+    # The simulation and its thread pool are loaded only by the commands
+    # that run it. A fresh interpreter, so no other test has imported them.
+    (tmp_path / "frames").mkdir()
+    rng = np.random.Generator(np.random.Philox(8))
+    for k in range(1, 9):
+        write_pgm(np.rint(500.0 + 20.0 * rng.standard_normal((6, 8))),
+                  tmp_path / "frames" / f"f_{k}.pgm", maxval=1023)
+    src = str(Path(hoyerstream.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _READ_ONLY_MODULES],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []", done.stdout + done.stderr
+
+
 _RUN_OUTPUTS = (
     "import sys\n"
     "from hoyerstream import cli\n"

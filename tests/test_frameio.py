@@ -1,6 +1,7 @@
 """On-disk formats: CSV matrices, PGM frames, frame directories, series/report writers."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from hoyerstream import (
 )
 from hoyerstream.frameio import (
     SERIES_COLUMNS,
+    _pgm_tokens,
     iter_frames,
     series_row,
     load_matrix,
@@ -185,6 +187,49 @@ class TestFrameDir:
     def test_load_matrix_dispatch(self, tmp_path):
         with pytest.raises(FrameFormatError, match="unsupported extension"):
             load_matrix(tmp_path / "m.txt")
+
+
+class TestFrameContract:
+    """``iter_frames`` decodes PGM samples as native integers into one
+    reused, read-only buffer; ``read_frame_dir`` hands out copies."""
+
+    SHAPE = (3, 4)
+
+    def write_mixed(self, root):
+        """A directory of 8-bit P5, 16-bit P5, P2 and CSV frames; the files
+        and the dtype each decodes to, in index order."""
+        rng = np.random.Generator(np.random.Philox(9))
+        files = []
+        kinds = [("P5", 255), ("P5", 4095), ("P2", 200), ("P5", 60000), ("P5", 255), ("P2", 65535)]
+        for k, (kind, maxval) in enumerate(kinds, start=1):
+            pixels = rng.integers(0, maxval + 1, self.SHAPE)
+            path = root / f"f_{k}.pgm"
+            path.write_bytes(_pgm_bytes(kind, maxval, pixels))
+            files.append((path, np.uint16 if maxval > 255 else np.uint8))
+        write_matrix_csv(np.full(self.SHAPE, 0.5), root / "f_7.csv")
+        files.append((root / "f_7.csv", np.float64))
+        return files
+
+    def test_iter_frames_yields_native_integers_read_only(self, tmp_path):
+        files = self.write_mixed(tmp_path)
+        frames = iter_frames([path for path, _ in files])
+        for (path, dtype), frame in zip(files, frames, strict=True):
+            assert frame.dtype == dtype, path.name
+            assert np.array_equal(frame, load_matrix(path)), path.name
+            if dtype is not np.float64:
+                assert not frame.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    frame[0, 0] = 1
+
+    def test_read_frame_dir_copies_share_no_memory(self, tmp_path):
+        files = self.write_mixed(tmp_path)
+        frames = read_frame_dir(tmp_path, "f_*")
+        assert len(frames) == len(files)
+        for (path, dtype), frame in zip(files, frames):
+            assert frame.dtype == dtype and frame.flags.writeable, path.name
+            assert np.array_equal(frame, load_matrix(path)), path.name
+        for a, b in itertools.combinations(frames, 2):
+            assert not np.shares_memory(a, b)
 
 
 def make_reading(t=0, seed=1):
@@ -377,6 +422,41 @@ def test_truncated_or_mutated_payload_raises_only_reader_errors(fuzz_dir, source
     bad = good.with_name("bad" + good.suffix)
     bad.write_bytes(mutated)
     _read_or_reader_error(bad, good)
+
+
+def _reference_pgm_tokens(data):
+    """(token, end_offset) pairs of a PGM header by a plain byte loop:
+    whitespace is what ``bytes.isspace`` takes, a '#' comment runs to the
+    next CR or LF, and a token is a run of bytes that are neither."""
+    found = []
+    i = 0
+    while i < len(data):
+        c = data[i : i + 1]
+        if c.isspace():
+            i += 1
+        elif c == b"#":
+            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
+                j += 1
+            found.append((data[i:j], j))
+            i = j
+    return found
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"P",
+                                 b"5", b"12", b"\x07", b"\xff", b"#5\n", b"\x85"]), max_size=24))
+def test_pgm_tokens_match_a_plain_loop(parts):
+    data = b"".join(parts)
+    got = []
+    with pytest.raises(FrameFormatError, match="truncated header"):
+        for token in _pgm_tokens(bytearray(data), "f.pgm"):
+            assert type(token[0]) is bytes
+            got.append(token)
+    assert got == _reference_pgm_tokens(data)
 
 
 @pytest.mark.parametrize(

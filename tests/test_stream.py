@@ -519,3 +519,78 @@ class TestMonitorSeries:
         s1 = monitor_series(frames, b, range(0, 20))
         s2 = monitor_series(frames, b, range(0, 20))
         assert s1 == s2
+
+
+def reused_buffer(frames):
+    """Yield ``frames`` as ``iter_frames`` yields decoded PGM frames: one
+    read-only view of one buffer, overwritten by each next frame."""
+    buf = np.empty_like(frames[0])
+    for f in frames:
+        buf[...] = f
+        view = buf.view()
+        view.flags.writeable = False
+        yield view
+
+
+class TestIntegerFrames:
+    """Integer frames are read as they are, with the bits of their float64
+    copies, and need only stay valid until the next frame is drawn."""
+
+    def integer_frames(self, dtype, count=24, shape=(12, 20)):
+        rng = np.random.Generator(np.random.Philox(7))
+        info = np.iinfo(dtype)
+        level, sigma = {
+            np.uint8: (120, 25), np.uint16: (30000, 3000), np.int64: (-(2**40), 2**36)
+        }[dtype]
+        patch = np.zeros(shape)
+        patch[3:8, 5:11] = 4 * sigma
+        frames = []
+        for k in range(count):
+            x = level + sigma * rng.standard_normal(shape) + (patch if k >= count // 2 else 0.0)
+            frames.append(np.clip(np.rint(x), info.min, info.max).astype(dtype))
+        if dtype == np.int64:
+            # Past 2**53, the conversion to float64 rounds: both reads must
+            # round alike.
+            frames[-1][0, 0] = 2**62 + 1
+        return frames
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64], ids=lambda d: d.__name__)
+    @pytest.mark.parametrize("mode", ["literal", "debias"])
+    def test_read_bit_for_bit_like_float64_copies(self, dtype, mode):
+        ints = self.integer_frames(dtype)
+        floats = [f.astype(np.float64) for f in ints]
+        w0 = 10
+        b_int = fit_baseline(reused_buffer(ints[:w0]))
+        b_float = fit_baseline(floats[:w0])
+        assert b_int.mu0_hat.tobytes() == b_float.mu0_hat.tobytes()
+        assert b_int.sigma2_hat.hex() == b_float.sigma2_hat.hex()
+
+        taus = range(w0, len(ints))
+        series = monitor_series(reused_buffer(ints), b_float, taus, mode=mode)
+        expected = monitor_series(floats, b_float, taus, mode=mode)
+        assert [reading_bits(r) for r in series] == [reading_bits(r) for r in expected]
+        for k in (w0, len(ints) - 1):
+            got = corrected_reading(ints[k], b_float, mode=mode, t=k)
+            want = corrected_reading(floats[k], b_float, mode=mode, t=k)
+            assert reading_bits(got) == reading_bits(want)
+            assert np.array_equal(residual(ints[k], b_float), residual(floats[k], b_float))
+        window = windowed_reading(reused_buffer(ints[-6:]), b_float, mode=mode)
+        want = windowed_reading(floats[-6:], b_float, mode=mode)
+        assert reading_bits(window) == reading_bits(want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_frame_refused(self, bad):
+        b = fit_baseline([np.zeros((3, 4)), np.ones((3, 4))])
+        frame = np.zeros((3, 4))
+        frame[1, 2] = bad
+        finite = "matrix entries must all be finite"
+        with pytest.raises(ValueError, match=finite):
+            fit_baseline([np.zeros((3, 4)), frame])
+        with pytest.raises(ValueError, match=finite):
+            residual(frame, b)
+        with pytest.raises(ValueError, match=finite):
+            corrected_reading(frame, b)
+        with pytest.raises(ValueError, match=finite):
+            monitor_series([frame], b, [0])
+        with pytest.raises(ValueError, match=finite):
+            windowed_reading([np.zeros((3, 4)), frame], b)
