@@ -29,28 +29,13 @@ from .stream import (
 
 __version__ = "0.1.0"
 
-# The simulation's names resolve on first use (PEP 562), so commands that
-# only read frames (``monitor``, ``index``) never import the simulation or
-# its thread pool.
-_SIMULATE_NAMES = (
-    "ErrorBand",
-    "NoiseSpec",
-    "exact_moments",
-    "make_dense_anomaly",
-    "make_scaled_anomaly",
-    "make_sparse_anomaly",
-    "run_consistency",
-    "run_robustness",
-    "sample_noise",
-    "simulate_residual_stream",
-    "verify_bias_theorem",
-    "verify_noise_domination",
-    "verify_noise_sparsity_decay",
-)
+# The names in ``__all__`` that are not imported above are the simulation's.
+# They resolve on first use (PEP 562), so commands that only read frames
+# (``monitor``, ``index``) never import the simulation.
 
 
 def __getattr__(name):
-    if name in _SIMULATE_NAMES:
+    if name in __all__:
         from . import simulate
 
         return getattr(simulate, name)
@@ -58,7 +43,8 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_SIMULATE_NAMES))
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "BaselineModel",

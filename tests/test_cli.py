@@ -109,6 +109,10 @@ class TestSimulate:
         self.run()
         assert open("report.json", "rb").read() == first_json
         assert open("report.csv", "rb").read() == first_csv
+        # The default runs on one thread; a pool changes no byte.
+        assert self.run("--workers", "2") == 0
+        assert open("report.json", "rb").read() == first_json
+        assert open("report.csv", "rb").read() == first_csv
 
     def test_consistency_grid_validation(self, in_tmp, capsys):
         code = main(
@@ -121,6 +125,7 @@ class TestSimulate:
         "bad",
         [
             ["--replicates", "0"], ["--replicates", "-2"], ["--workers", "-1"],
+            ["--workers", "0"],
             ["--n-ooc", "1"], ["--n-ooc", "0"], ["--w0", "1"],
             ["--sigmas", "0.5", "0.0"], ["--sigmas", "0.5", "nan"], ["--seed", "-1"],
             ["--sigmas", "1", "1.0"], ["--cs", "10", "10"],
@@ -169,14 +174,16 @@ _SWEEP_MODULES = (
     "from hoyerstream import cli\n"
     "code = cli.main(['simulate', 'consistency', '--kind', 'sparse', '--cs', '10', '20',\n"
     "                 '--w0', '20', '--n-ooc', '10', '--replicates', '3', '--out', 'r.json'])\n"
-    "print(code, 'numpy.ma' in sys.modules)\n"
+    "code |= cli.main(['verify', 'corollary1', '--reps', '2'])\n"
+    "print(code, 'numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)\n"
 )
 
 
 def test_replicate_sweep_does_not_import_numpy_ma(tmp_path):
     # The replicate medians are taken without np.median, which imports
-    # numpy.ma on first use (about 20 ms of a fresh process). A fresh
-    # interpreter, so no other test has imported it first.
+    # numpy.ma on first use (about 20 ms of a fresh process), and a serial
+    # sweep or a verify check never loads the thread pool. A fresh
+    # interpreter, so no other test has imported them first.
     src = str(Path(hoyerstream.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -184,7 +191,7 @@ def test_replicate_sweep_does_not_import_numpy_ma(tmp_path):
         [sys.executable, "-c", _SWEEP_MODULES],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert done.stdout.splitlines()[-1] == "0 False", done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False False", done.stdout + done.stderr
 
 
 _READ_ONLY_MODULES = (

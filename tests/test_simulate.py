@@ -197,6 +197,14 @@ class TestKeyDerivation:
             NoiseSpec(1.0, 1.5)
         with pytest.raises(ValueError, match="seed must be"):
             NoiseSpec(1.0, 1.0)
+        # A sweep's master seed is held to the same rule.
+        for seed in (1.5, np.float64(2.0), 2**64):
+            with pytest.raises(ValueError, match="seed must be"):
+                NoiseSpec(1.0, seed)
+            with pytest.raises(ValueError, match="seed must be"):
+                run_robustness([1.0], "dense", seed, w0=20, n_ooc=10)
+            with pytest.raises(ValueError, match="seed must be"):
+                run_consistency([10], "dense", seed, w0=20, n_ooc=10)
         with pytest.raises(TypeError):
             sample_noise(2, 2, NoiseSpec(1.0, 3), 2.9)
         with pytest.raises(TypeError):
@@ -699,6 +707,13 @@ class TestVerifiers:
         high = verify_noise_sparsity_decay([400], sigma=2.0, reps=30, seed=6)
         assert low[0]["median_scaled"] == high[0]["median_scaled"]
 
+    @pytest.mark.parametrize("sizes", [[2], [(1, 2)], [100, (2, 1)]])
+    def test_noise_decay_refuses_size_below_three(self, sizes):
+        # The scale sqrt(n / log log n) needs log log n > 0: n >= 3. A bad
+        # size anywhere in the list is refused before any draw.
+        with pytest.raises(ValueError, match="size must be >= 3.*got 2"):
+            verify_noise_sparsity_decay(sizes, reps=2)
+
     def test_noise_decay_single_size(self):
         rows = verify_noise_sparsity_decay([(20, 30)], reps=10)
         assert len(rows) == 1
@@ -713,5 +728,4 @@ class TestVerifiers:
     def test_noise_domination_quick(self):
         report = verify_noise_domination(reps=5, seed=3)
         assert report["predicted"] > 0.98
-        assert report["passed"]
         assert report["min_index"] > 0.95
