@@ -10,7 +10,7 @@ made by a fresh ``Generator(Philox(SeedSequence(seed, spawn_key=key)))``
 reproduced from NumPy alone, given its seed and key; ``subseed`` is the
 first 64-bit word of the same ``SeedSequence``. Seeds and keys are
 non-negative integers, and a float is refused, never truncated. A master
-seed, of a ``NoiseSpec`` or a sweep, is checked in one place
+seed, of a ``NoiseSpec`` or a ``subseed``, is checked in one place
 (``_check_seed``): it must be an unsigned 64-bit integer.
 
 Experiment cells are keyed by parameter *value* (bit pattern for floats)
@@ -45,6 +45,11 @@ The normals and chi-squares at one key come from one generator, in that
 order (``_rotated_draws``); a chi-square is ``Generator.chisquare``, twice a
 standard gamma. So a cell draws 3·n_ooc + 4 scalars (2·n_ooc + 3 when
 n = 2), whatever n and w0 are.
+
+A ``verify`` check makes no frame either: it reads the totals of its
+``reps`` noisy anomalies from one ``_shifted_totals`` draw (``_law_indices``).
+``sample_noise``, ``stream_frame_noise`` and ``simulate_residual_stream``
+replay noise frames for callers and tests.
 """
 
 from __future__ import annotations
@@ -84,13 +89,17 @@ CELL_STATS_TAG = 7
 _MAX_SEED = 2**64
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; a float is refused, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed) -> None:
     """Raise ValueError unless ``seed`` is an unsigned 64-bit integer."""
-    try:
-        valid = 0 <= operator.index(seed) < _MAX_SEED
-    except TypeError:
-        valid = False
-    if not valid:
+    if not 0 <= _as_int(seed, "seed") < _MAX_SEED:
         raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
 
 
@@ -134,6 +143,7 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 def subseed(master_seed: int, *key: int) -> int:
     """Derive a 64-bit sub-seed by mixing ``key`` into the master seed."""
+    _check_seed(master_seed)
     ss = np.random.SeedSequence(master_seed, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -144,7 +154,7 @@ def float_key(value: float) -> int:
 
 
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
-    """One p1 x p2 matrix of iid N(0, sigma^2) entries; same inputs, same bits."""
+    """One p1 x p2 frame of iid N(0, sigma^2) noise, for replay; same inputs, same bits."""
     if p1 < 1 or p2 < 1:
         raise ValueError(f"dims must be positive, got ({p1}, {p2})")
     return spec.sigma * _rng(spec.seed, *key).standard_normal((p1, p2))
@@ -221,7 +231,7 @@ def _row_pattern(row: np.ndarray, p1: int):
 def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.ndarray:
     """Noise of the frame at 0-based ``position`` of a simulated stream.
 
-    Exposed so any single frame can be replayed without rebuilding the
+    A frame-replay helper: any frame can be replayed without rebuilding the
     stream; ``simulate_residual_stream`` fills frame k with exactly this.
     """
     return sample_noise(p1, p2, spec, STREAM_FRAME_TAG, position)
@@ -234,7 +244,7 @@ def simulate_residual_stream(
 
     Returns an (n_ic + n_ooc, p1, p2) block; position k holds the frame at
     stream time t = k - n_ic + 1, so t runs -n_ic+1 .. n_ooc and frames with
-    t > 0 carry the anomaly.
+    t > 0 carry the anomaly. A frame-replay helper for callers and tests.
     """
     a = as_image_matrix(anomaly)
     if n_ic < 1 or n_ooc < 1:
@@ -347,6 +357,15 @@ def _cell_band(pattern, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
     return error_band(np.abs(g - h_true))
 
 
+def _law_indices(pattern, sigma: float, seed: int, key: tuple, reps: int, clip: bool = True):
+    """Indices of ``reps`` draws of A + e, e iid N(0, sigma^2) and A the anomaly
+    ``pattern`` (n, a_bar, alpha, ...) describes, read from the totals that
+    ``_shifted_totals`` draws under ``subseed(seed, *key)``; no frame is made."""
+    n, a_bar, alpha = pattern[:3]
+    s, ss = _shifted_totals(NoiseSpec(sigma, subseed(seed, *key)), n, a_bar, alpha, reps)
+    return hoyer_from_totals(s, ss, n, clip=clip)
+
+
 def _median(values) -> float:
     """Median of a non-empty sequence of floats, with ``np.median``'s bits:
     the middle element for an odd count, the mean (a + b) / 2 of the middle
@@ -383,7 +402,6 @@ def _sweep(grid, cells, tag, seed, w0, n_ooc, mode, replicates, workers):
         raise ValueError(f"w0 must be >= 2, got {w0}")
     if n_ooc < 2:
         raise ValueError(f"n_ooc must be >= 2, got {n_ooc}")
-    _check_seed(seed)
     seen = set()
     for value, *_, key in cells:
         if key in seen:
@@ -462,7 +480,7 @@ def run_consistency(
     one row of each rendering is built, once per c, so no cell makes a
     frame at any c. Returns {c: ErrorBand}.
     """
-    cs = [int(c) for c in cs]
+    cs = [_as_int(c, "each c") for c in cs]
     if not cs:
         raise ValueError("empty multiplier grid")
     cells = [(c, _row_pattern(_scaled_row(kind, c), c), sigma, c) for c in cs]
@@ -484,7 +502,9 @@ def verify_bias_theorem(
     ``anomaly`` is either a scalar (a constant matrix of ``dims`` is built)
     or an explicit matrix (its own dims are used). Compares the sample mean
     of index(A + e) - index(A) over ``reps`` noise draws against the formula
-    evaluated on the anomaly's exact moments.
+    evaluated on the anomaly's exact moments. Each index(A + e) is read from
+    drawn totals (``_law_indices``), so a sigma whose drawn sum of squares
+    leaves the normal float range is refused.
     """
     if np.ndim(anomaly) == 0:
         a = np.full(dims, float(anomaly))
@@ -496,18 +516,12 @@ def verify_bias_theorem(
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     predicted = noise_bias(exact_moments(a, sigma)) if sigma > 0 else 0.0
     h_a = hoyer_index(a)
-    p1, p2 = a.shape
+    empirical = 0.0
     if sigma > 0:
-        spec = NoiseSpec(sigma, seed)
-        gaps = [
-            hoyer_index(a + sample_noise(p1, p2, spec, BIAS_CHECK_TAG, rep)) - h_a
-            for rep in range(reps)
-        ]
-    else:
-        gaps = [0.0] * reps
-    empirical = float(np.mean(gaps))
+        indices = _law_indices(_row_pattern(a.ravel(), 1), sigma, seed, (BIAS_CHECK_TAG,), reps)
+        empirical = float(np.mean(indices - h_a))
     return {
-        "dims": (p1, p2),
+        "dims": a.shape,
         "sigma": sigma,
         "reps": reps,
         "anomaly_index": h_a,
@@ -536,11 +550,14 @@ def verify_noise_sparsity_decay(
     so the scaled statistic (1 - index) * sqrt(n / log log n) should stay in
     a constant band as n grows. The unclipped index is used: for noise the
     raw ratio hovers on both sides of 1 and clipping would zero the median.
-    Sizes are totals (factored near-square) or explicit (p1, p2) pairs.
+    Sizes are integer totals (factored near-square) or explicit (p1, p2)
+    pairs; a float is refused, never truncated. The indices are read from
+    drawn pure-noise totals (``_law_indices``).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    dims = [size if isinstance(size, tuple) else near_square_dims(int(size)) for size in sizes]
+    dims = [tuple(_as_int(d, "size") for d in size) if isinstance(size, tuple)
+            else near_square_dims(_as_int(size, "size")) for size in sizes]
     for p1, p2 in dims:
         if p1 * p2 < 3:
             raise ValueError(f"size must be >= 3 (log log n > 0 from there), got {p1 * p2}")
@@ -548,49 +565,31 @@ def verify_noise_sparsity_decay(
     for p1, p2 in dims:
         n = p1 * p2
         scale = math.sqrt(n / math.log(math.log(n)))
-        spec = NoiseSpec(sigma, seed)
-        gaps = [
-            1.0 - hoyer_index(sample_noise(p1, p2, spec, DECAY_CHECK_TAG, n, rep), clip=False)
-            for rep in range(reps)
-        ]
-        med = _median(gaps)
-        rows.append(
-            {
-                "p1": p1,
-                "p2": p2,
-                "n": n,
-                "median_gap": med,
-                "median_scaled": med * scale,
-            }
-        )
+        indices = _law_indices((n, 0.0, 0.0), sigma, seed, (DECAY_CHECK_TAG, n), reps, clip=False)
+        med = _median(1.0 - indices)
+        rows.append({"p1": p1, "p2": p2, "n": n, "median_gap": med, "median_scaled": med * scale})
     return rows
 
 
-def verify_noise_domination(
-    sigma: float = 100.0,
-    reps: int = 20,
-    seed: int = 0,
-) -> dict:
+def verify_noise_domination(sigma: float = 100.0, reps: int = 20, seed: int = 0) -> dict:
     """Raw indices of the dense test pattern, tiled to a 200 x 200 grid,
     under ``reps`` draws of overwhelming noise, beside the formula's
     prediction: index(A) plus nearly its full possible bias, near 1 at the
     default noise level. The caller judges how close to 1 every replicate
-    must be; ``verify corollary1`` holds that threshold.
+    must be; ``verify corollary1`` holds that threshold. The indices are read
+    from drawn totals (``_law_indices``).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    a = _repeat_row(_fixed_row("dense", 100, 200), 200)
+    row = _fixed_row("dense", 100, 200)
+    a = _repeat_row(row, 200)
     predicted = hoyer_index(a) + noise_bias(exact_moments(a, sigma))
-    spec = NoiseSpec(sigma, seed)
-    values = [
-        hoyer_index(a + sample_noise(*a.shape, spec, DOMINATION_CHECK_TAG, rep))
-        for rep in range(reps)
-    ]
+    values = _law_indices(_row_pattern(row, 200), sigma, seed, (DOMINATION_CHECK_TAG,), reps)
     return {
         "dims": a.shape,
         "sigma": sigma,
         "reps": reps,
         "predicted": min(predicted, 1.0),
-        "min_index": min(values),
-        "values": values,
+        "min_index": float(values.min()),
+        "values": values.tolist(),
     }

@@ -28,6 +28,7 @@ from hoyerstream.indices import (
     moments_from_stats,
     readings_from_totals,
 )
+from hoyerstream.simulate import _shifted_totals
 
 from conftest import bias_oracle, hoyer_oracle, pure_noise_index_cdf, totals_reading_oracle
 
@@ -134,20 +135,29 @@ class TestPureNoiseLaw:
     """The index of white Gaussian noise has an exact finite-n law (see
     ``conftest.pure_noise_index_cdf``); simulated indices must follow it."""
 
+    # Dvoretzky-Kiefer-Wolfowitz (Massart's constant): the sup distance D of
+    # N draws' empirical CDF from the true one exceeds eps with probability
+    # at most 2·exp(-2·N·eps^2) = 3e-7 here, so the six cases below fail
+    # falsely with probability below 2e-6.
+    DRAWS = 2000
+    EPS = math.sqrt(math.log(2 / 3e-7) / (2 * DRAWS))
+
+    def assert_within_dkw_band(self, indices, n):
+        cdf = [pure_noise_index_cdf(x, n) for x in sorted(indices)]
+        d = max(max((i + 1) / self.DRAWS - f, f - i / self.DRAWS) for i, f in enumerate(cdf))
+        assert d < self.EPS, (n, d, self.EPS)
+
     @pytest.mark.parametrize("shape", [(1, 5), (10, 10), (25, 40)])
     def test_empirical_cdf_within_dkw_band(self, shape, rng):
-        # Dvoretzky-Kiefer-Wolfowitz (Massart's constant): the sup distance
-        # D of N draws' empirical CDF from the true one exceeds eps with
-        # probability at most 2·exp(-2·N·eps^2) = 3e-7 here, so the three
-        # sizes fail falsely with probability below 1e-6.
-        draws = 2000
-        eps = math.sqrt(math.log(2 / 3e-7) / (2 * draws))
-        n = shape[0] * shape[1]
-        frames = 2.5 * rng.standard_normal((draws,) + shape)
-        indices = sorted(hoyer_index(f, clip=False) for f in frames)
-        cdf = [pure_noise_index_cdf(x, n) for x in indices]
-        d = max(max((i + 1) / draws - f, f - i / draws) for i, f in enumerate(cdf))
-        assert d < eps, (n, d, eps)
+        frames = 2.5 * rng.standard_normal((self.DRAWS,) + shape)
+        indices = [hoyer_index(f, clip=False) for f in frames]
+        self.assert_within_dkw_band(indices, shape[0] * shape[1])
+
+    @pytest.mark.parametrize("n", [5, 100, 1000])
+    def test_drawn_totals_within_dkw_band(self, n):
+        # The pure-noise totals the verify checks read (mean and spread 0).
+        s, ss = _shifted_totals(NoiseSpec(2.5, 20260810), n, 0.0, 0.0, self.DRAWS)
+        self.assert_within_dkw_band(hoyer_from_totals(s, ss, n, clip=False).tolist(), n)
 
 
 class TestNoiseBias:

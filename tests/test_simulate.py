@@ -197,10 +197,14 @@ class TestKeyDerivation:
             NoiseSpec(1.0, 1.5)
         with pytest.raises(ValueError, match="seed must be"):
             NoiseSpec(1.0, 1.0)
-        # A sweep's master seed is held to the same rule.
+        # A sweep's or a check's master seed is held to the same rule.
         for seed in (1.5, np.float64(2.0), 2**64):
             with pytest.raises(ValueError, match="seed must be"):
                 NoiseSpec(1.0, seed)
+            with pytest.raises(ValueError, match="seed must be"):
+                subseed(seed, 1)
+            with pytest.raises(ValueError, match="seed must be"):
+                verify_noise_domination(reps=2, seed=seed)
             with pytest.raises(ValueError, match="seed must be"):
                 run_robustness([1.0], "dense", seed, w0=20, n_ooc=10)
             with pytest.raises(ValueError, match="seed must be"):
@@ -244,7 +248,9 @@ class TestKeyDerivation:
         assert constructions(dims=(10_000, 20_000)) == per_cell
         assert constructions(replicates=2) == {k: 2 * v for k, v in per_cell.items()}
 
-        # Each verifier builds one generator per replicate.
+        # Each verifier (each size, for the decay check) draws all its
+        # replicates' totals from one generator: one SeedSequence for its
+        # sub-seed, and one SeedSequence, Philox and Generator at its key.
         verifiers = [
             lambda reps: verify_bias_theorem(1.0, 1.0, dims=(10, 20), reps=reps),
             lambda reps: verify_noise_sparsity_decay([200], reps=reps),
@@ -254,7 +260,7 @@ class TestKeyDerivation:
             for reps in (2, 7):
                 counts.clear()
                 verify(reps)
-                expected = {"SeedSequence": reps, "Philox": reps, "Generator": reps}
+                expected = {"SeedSequence": 2, "Philox": 1, "Generator": 1}
                 assert dict(counts) == expected, (reps, dict(counts))
 
 
@@ -665,6 +671,12 @@ class TestSweepDrivers:
     def test_consistency_validates_multipliers(self):
         with pytest.raises(ValueError):
             run_consistency([15], "dense", 0)
+        # A float multiplier is refused, not truncated to c = 10.
+        with pytest.raises(ValueError, match="must be an integer, got 10.9"):
+            run_consistency([10.9], "dense", 1, w0=20, n_ooc=10)
+        assert run_consistency([np.int64(10)], "dense", 1, w0=20, n_ooc=10) == run_consistency(
+            [10], "dense", 1, w0=20, n_ooc=10
+        )
         with pytest.raises(ValueError):
             run_consistency([], "dense", 0)
         with pytest.raises(ValueError):
@@ -713,6 +725,39 @@ class TestVerifiers:
         # size anywhere in the list is refused before any draw.
         with pytest.raises(ValueError, match="size must be >= 3.*got 2"):
             verify_noise_sparsity_decay(sizes, reps=2)
+
+    @pytest.mark.parametrize("sizes", [[100.7], [(10.0, 10)], [100, (10, np.float64(10.0))]])
+    def test_noise_decay_refuses_float_size(self, sizes):
+        # A float size is refused, not truncated (100.7 is not read as 100).
+        with pytest.raises(ValueError, match="size must be an integer"):
+            verify_noise_sparsity_decay(sizes, reps=2)
+
+    def test_noise_decay_accepts_numpy_integers(self):
+        rows = verify_noise_sparsity_decay([np.int64(100), (np.int32(10), 10)], reps=3)
+        assert rows == verify_noise_sparsity_decay([100, (10, 10)], reps=3)
+
+    def test_checks_make_no_noise_frame(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verify check built a noise frame")
+
+        monkeypatch.setattr(simulate, "sample_noise", refuse)
+        assert verify_bias_theorem(1.0, 1.0, dims=(40, 40), reps=3)["abs_diff"] < 0.1
+        assert len(verify_noise_sparsity_decay([100, (20, 30)], reps=3)) == 2
+        assert verify_noise_domination(reps=3)["min_index"] > 0.95
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda: verify_bias_theorem(1e-160, 1e-160, dims=(4, 4), reps=2),
+            lambda: verify_noise_sparsity_decay([100], sigma=1e-170, reps=2),
+            lambda: verify_noise_sparsity_decay([100], sigma=1e160, reps=2),
+        ],
+    )
+    def test_totals_outside_normal_range_refused(self, check):
+        # As in a cell, drawn totals outside the normal float range, which
+        # no reading could be trusted on, are refused; nothing is rescaled.
+        with pytest.raises(ValueError, match="out of the normal float range"):
+            check()
 
     def test_noise_decay_single_size(self):
         rows = verify_noise_sparsity_decay([(20, 30)], reps=10)
