@@ -6,8 +6,8 @@ as ``1_0`` and non-ASCII digits included), PGM header fields and P2 samples
 that are not plain ASCII digits, bad magic bytes, truncated payloads, and
 mismatched frame sizes are all hard errors naming the file (and
 line/column where that makes sense). PGM samples are decoded as native
-integers; ``iter_frames`` decodes a stream of them into one reused buffer,
-so reading a directory of equal PGM frames allocates no frame per file.
+integers, each file's into a new array: ``iter_frames`` holds one frame at
+a time, and a caller may keep any frame it draws.
 Writers are byte-stable: the same values always produce the same bytes.
 Readings go to disk only through ``series_row``, the one rendering of a
 ``SparsityReading`` as a series CSV row, which both the series file and
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -129,29 +128,14 @@ def _pgm_ints(tokens) -> list[int]:
     return [int(t) for t in tokens]
 
 
-def _read_into(path: Path, buf: bytearray) -> None:
-    """Make ``buf`` hold the bytes of the file at ``path``; its memory is
-    reused when the file has the size of the last one read into it."""
-    with open(path, "rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        del buf[size:]
-        buf.extend(bytes(size - len(buf)))
-        del buf[fh.readinto(buf) :]  # for a file that shrank since fstat
-        buf += fh.read()  # for a file that grew since fstat
-
-
-def _decode_pgm(path: Path, buf: bytearray, out: np.ndarray | None = None) -> np.ndarray:
-    """Decode a P2 (ASCII) or P5 (binary) grayscale PGM as raw intensities:
-    ``uint8`` samples for a maxval up to 255, native ``uint16`` above (P5
-    stores those as two-byte big-endian samples, per the format).
-
-    The file is read into ``buf``, and the samples into ``out`` when it has
-    their dtype and shape (else into a new array); the array written is
-    returned, for the caller to pass back with the next file. ``out`` may be
-    overwritten by a file that turns out to be bad.
+def _decode_pgm(path: Path) -> np.ndarray:
+    """Decode a P2 (ASCII) or P5 (binary) grayscale PGM as raw intensities,
+    in a new array: ``uint8`` samples for a maxval up to 255, native
+    ``uint16`` above (P5 stores those as two-byte big-endian samples, per
+    the format).
     """
-    _read_into(path, buf)
-    tokens = _pgm_tokens(buf, path)
+    data = path.read_bytes()
+    tokens = _pgm_tokens(data, path)
     try:
         magic, _ = next(tokens)
     except StopIteration:
@@ -174,15 +158,13 @@ def _decode_pgm(path: Path, buf: bytearray, out: np.ndarray | None = None) -> np
         raise FrameFormatError(f"{path}: bad dimensions {width}x{height}")
     if not 1 <= maxval <= _PGM_MAX_MAXVAL:
         raise FrameFormatError(f"{path}: maxval {maxval} out of range [1, {_PGM_MAX_MAXVAL}]")
-    shape = (height, width)
     dtype = np.dtype(np.uint16 if maxval > 255 else np.uint8)
-    if out is not None and (out.dtype != dtype or out.shape != shape):
-        out = None  # a new one is made once the payload is known to hold the frame
 
-    # Samples are checked against maxval as unsigned integers.
+    # Samples are checked against maxval as unsigned integers, before a P2
+    # sample is cast to a dtype that may not hold it.
     if magic == b"P2":
         try:
-            samples = _pgm_ints(buf[end:].split())
+            samples = _pgm_ints(data[end:].split())
         except ValueError:
             raise FrameFormatError(f"{path}: non-integer pixel data") from None
         if len(samples) != width * height:
@@ -190,32 +172,26 @@ def _decode_pgm(path: Path, buf: bytearray, out: np.ndarray | None = None) -> np
                 f"{path}: expected {width * height} pixels, found {len(samples)}"
             )
         top = max(samples)
-        if top <= maxval:
-            out = np.empty(shape, dtype) if out is None else out
-            out.reshape(-1)[:] = samples
     else:
         # Binary payload starts after exactly one whitespace byte past maxval.
-        if not buf[end : end + 1].isspace():
+        if not data[end : end + 1].isspace():
             raise FrameFormatError(f"{path}: missing whitespace before pixel payload")
         start = end + 1
         need = width * height * dtype.itemsize
-        if len(buf) - start < need:
+        if len(data) - start < need:
             raise FrameFormatError(
                 f"{path}: truncated pixel payload, expected {need} bytes, "
-                f"found {len(buf) - start}"
+                f"found {len(data) - start}"
             )
-        if buf[start + need :].strip():
+        if data[start + need :].strip():
             raise FrameFormatError(f"{path}: trailing bytes after pixel payload")
-        # Swapped from big-endian to native order in the one copy out of
-        # ``buf``; no view of ``buf`` outlives it, so ``buf`` stays resizable.
-        out = np.empty(shape, dtype) if out is None else out
-        np.copyto(out, np.frombuffer(
-            buf, dtype=dtype.newbyteorder(">"), count=width * height, offset=start,
-        ).reshape(shape))
-        top = int(out.max())
+        samples = np.frombuffer(
+            data, dtype=dtype.newbyteorder(">"), count=width * height, offset=start
+        ).astype(dtype)
+        top = int(samples.max())
     if top > maxval:
         raise FrameFormatError(f"{path}: pixel value outside [0, {maxval}]")
-    return out
+    return np.asarray(samples, dtype).reshape(height, width)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -223,10 +199,10 @@ def read_pgm(path) -> np.ndarray:
 
     No rescaling is applied; a maxval up to 65535 is accepted (two-byte
     big-endian samples above 255, per the format). Returns a new float64
-    array the caller owns: the samples are decoded as native integers, as
-    ``iter_frames`` decodes them, and then converted.
+    array: the samples are decoded as native integers, as ``iter_frames``
+    yields them, and then converted.
     """
-    return _decode_pgm(Path(path), bytearray()).astype(np.float64)
+    return _decode_pgm(Path(path)).astype(np.float64)
 
 
 def write_pgm(matrix, path, maxval: int = 65535):
@@ -295,23 +271,15 @@ def iter_frames(paths: Iterable) -> Iterator[np.ndarray]:
     """Decode frame files one at a time, in the given order.
 
     Every frame must have the first frame's shape; a mismatch is a
-    DimensionError naming the file. CSV frames come as float64 arrays of
-    their own. PGM frames come as read-only native integers (``uint8``
-    for a maxval up to 255, ``uint16`` above) that share one reused
-    buffer: a PGM frame is valid only until the next frame is drawn, so a
-    caller that keeps one copies it. Only the frame being yielded is held.
+    DimensionError naming the file. Each frame is a new array the caller
+    owns: PGM frames as native integers (``uint8`` for a maxval up to 255,
+    ``uint16`` above), CSV frames as float64. Only the frame being yielded
+    is held.
     """
     shape = None
-    buf = bytearray()
-    samples = None
     for p in paths:
         p = Path(p)
-        if _is_pgm(p):
-            samples = _decode_pgm(p, buf, samples)
-            m = samples.view()
-            m.flags.writeable = False
-        else:
-            m = read_matrix_csv(p)
+        m = _decode_pgm(p) if _is_pgm(p) else read_matrix_csv(p)
         if shape is None:
             shape = m.shape
         elif m.shape != shape:
@@ -322,13 +290,9 @@ def iter_frames(paths: Iterable) -> Iterator[np.ndarray]:
 
 
 def read_frame_dir(path, pattern: str = "*") -> list[np.ndarray]:
-    """Read every frame file matching ``pattern`` in ascending index order.
-
-    The same files, order, checks and dtypes as
-    ``iter_frames(list_frame_dir(...))``, with every frame held at once:
-    each is a copy of its own, writable and sharing no memory with another.
-    """
-    return [m.copy() for m in iter_frames(list_frame_dir(path, pattern))]
+    """Read every frame file matching ``pattern`` in ascending index order:
+    the frames of ``iter_frames(list_frame_dir(...))``, all held at once."""
+    return list(iter_frames(list_frame_dir(path, pattern)))
 
 
 def write_series_csv(readings: Iterable[SparsityReading], path):

@@ -154,6 +154,7 @@ def float_key(value: float) -> int:
 
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 frame of iid N(0, sigma^2) noise, for replay; same inputs, same bits."""
+    p1, p2 = _as_int(p1, "dims"), _as_int(p2, "dims")
     if p1 < 1 or p2 < 1:
         raise ValueError(f"dims must be positive, got ({p1}, {p2})")
     return spec.sigma * _rng(spec.seed, *key).standard_normal((p1, p2))
@@ -399,6 +400,9 @@ def _sweep(grid, cells, tag, seed, w0, n_ooc, mode, replicates, workers):
     threads without changing any value. One thread is faster (a cell is
     GIL-bound Python); the pool, and its import, stay behind that branch.
     """
+    replicates = _as_int(replicates, "replicates")
+    w0 = _as_int(w0, "w0")
+    n_ooc = _as_int(n_ooc, "n_ooc")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     if w0 < 2:
@@ -516,6 +520,7 @@ def verify_bias_theorem(
     else:
         a = as_image_matrix(anomaly)
         dims, pattern = a.shape, _row_pattern(a.ravel(), 1)
+    reps = _as_int(reps, "reps")
     if reps < 2:
         raise ValueError(f"reps must be >= 2, got {reps}")
     if not math.isfinite(sigma) or sigma < 0.0:
@@ -559,6 +564,7 @@ def verify_noise_sparsity_decay(
     pairs; a float is refused, never truncated. The indices are read from
     drawn pure-noise totals (``_law_indices``).
     """
+    reps = _as_int(reps, "reps")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     dims = [tuple(_as_int(d, "size") for d in size) if isinstance(size, tuple)
@@ -584,6 +590,7 @@ def verify_noise_domination(sigma: float = 100.0, reps: int = 20, seed: int = 0)
     must be; ``verify corollary1`` holds that threshold. It reads as
     ``verify_bias_theorem`` does: no anomaly matrix is built, none rescaled.
     """
+    reps = _as_int(reps, "reps")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     row = _fixed_row("dense", 100, 200)

@@ -17,8 +17,7 @@ counts of the items drawn; callers with their own frame numbering pass
 Frames are float or integer matrices. An integer frame (a decoded PGM, say)
 is read as it is, never copied to float64, and gives the bits its float64
 copy would. No function here holds a drawn frame past the next draw, so a
-stream may hand out every frame in one reused buffer, as
-``frameio.iter_frames`` does.
+stream may hand out every frame in one reused buffer.
 """
 
 from __future__ import annotations

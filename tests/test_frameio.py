@@ -190,17 +190,17 @@ class TestFrameDir:
 
 
 class TestFrameContract:
-    """``iter_frames`` decodes PGM samples as native integers into one
-    reused, read-only buffer; ``read_frame_dir`` hands out copies."""
+    """``iter_frames`` decodes PGM samples as native integers, each frame
+    into a new array the caller owns; ``read_frame_dir`` holds them all."""
 
     SHAPE = (3, 4)
+    MIXED = [("P5", 255), ("P5", 4095), ("P2", 200), ("P5", 60000), ("P5", 255), ("P2", 65535)]
 
-    def write_mixed(self, root):
+    def write_mixed(self, root, kinds=MIXED):
         """A directory of 8-bit P5, 16-bit P5, P2 and CSV frames; the files
         and the dtype each decodes to, in index order."""
         rng = np.random.Generator(np.random.Philox(9))
         files = []
-        kinds = [("P5", 255), ("P5", 4095), ("P2", 200), ("P5", 60000), ("P5", 255), ("P2", 65535)]
         for k, (kind, maxval) in enumerate(kinds, start=1):
             pixels = rng.integers(0, maxval + 1, self.SHAPE)
             path = root / f"f_{k}.pgm"
@@ -210,16 +210,23 @@ class TestFrameContract:
         files.append((root / "f_7.csv", np.float64))
         return files
 
-    def test_iter_frames_yields_native_integers_read_only(self, tmp_path):
+    def test_iter_frames_yields_native_integers(self, tmp_path):
         files = self.write_mixed(tmp_path)
         frames = iter_frames([path for path, _ in files])
         for (path, dtype), frame in zip(files, frames, strict=True):
             assert frame.dtype == dtype, path.name
             assert np.array_equal(frame, load_matrix(path)), path.name
-            if dtype is not np.float64:
-                assert not frame.flags.writeable
-                with pytest.raises(ValueError, match="read-only"):
-                    frame[0, 0] = 1
+
+    def test_held_frame_survives_the_next_draw(self, tmp_path):
+        # Runs of frames of one dtype and shape, P2 and P5 alike: drawing
+        # the next frame must leave the one the caller holds unchanged.
+        kinds = [("P5", 255), ("P5", 255), ("P2", 200), ("P5", 4095), ("P2", 65535), ("P5", 60000)]
+        paths = [path for path, _ in self.write_mixed(tmp_path, kinds)]
+        frames = iter_frames(paths)
+        held = next(frames)
+        for prev, frame in zip(paths, frames):
+            assert np.array_equal(held, load_matrix(prev)), prev.name
+            held = frame
 
     def test_read_frame_dir_copies_share_no_memory(self, tmp_path):
         files = self.write_mixed(tmp_path)

@@ -669,12 +669,33 @@ class TestSweepDrivers:
             with pytest.raises(ValueError, match="replicates must be >= 1"):
                 run_consistency([10], "dense", 5, replicates=replicates)
 
+    @pytest.mark.parametrize(
+        "what, call",
+        [
+            ("n_ooc", lambda: run_robustness([1.0], "dense", 0, w0=20, n_ooc=10.5)),
+            ("replicates", lambda: run_robustness([1.0], "dense", 0, n_ooc=10, replicates=2.5)),
+            ("reps", lambda: verify_bias_theorem(1.0, 1.0, dims=(4, 4), reps=2.5)),
+            ("reps", lambda: verify_noise_sparsity_decay([100], reps=2.5)),
+            ("reps", lambda: verify_noise_domination(reps=3.5)),
+            ("dims", lambda: sample_noise(2.5, 3, NoiseSpec(1.0, 1))),
+        ],
+        ids=["n_ooc", "replicates", "theorem1", "lemma2", "corollary1", "sample_noise"],
+    )
+    def test_float_counts_refused(self, what, call):
+        # A float count is the package's ValueError, not NumPy's TypeError
+        # from deep in the draw.
+        with pytest.raises(ValueError, match=f"{what} must be an integer"):
+            call()
+
     def test_consistency_validates_multipliers(self):
         with pytest.raises(ValueError):
             run_consistency([15], "dense", 0)
         # A float multiplier is refused, not truncated to c = 10.
         with pytest.raises(ValueError, match="must be an integer, got 10.9"):
             run_consistency([10.9], "dense", 1, w0=20, n_ooc=10)
+        # So is a float w0 (a "20.5-frame" baseline used to be banded).
+        with pytest.raises(ValueError, match="w0 must be an integer, got 20.5"):
+            run_robustness([1.0], "dense", 0, w0=20.5, n_ooc=10)
         # So is a float dim (a 100.5-row anomaly used to run its cells).
         for call in (
             lambda: run_robustness([1.0], "dense", 0, dims=(100.5, 200), w0=20, n_ooc=20),

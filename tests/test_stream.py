@@ -522,8 +522,8 @@ class TestMonitorSeries:
 
 
 def reused_buffer(frames):
-    """Yield ``frames`` as ``iter_frames`` yields decoded PGM frames: one
-    read-only view of one buffer, overwritten by each next frame."""
+    """Yield ``frames`` as a stream that reuses one buffer would: one
+    read-only view of it, overwritten by each next frame."""
     buf = np.empty_like(frames[0])
     for f in frames:
         buf[...] = f
