@@ -49,6 +49,22 @@ def as_image_matrix(x, *, min_entries: int = 1) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; a float is refused, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _count(value, what: str, least: int) -> int:
+    """``_as_int(value, what)``, refused below ``least``."""
+    n = _as_int(value, what)
+    if n < least:
+        raise ValueError(f"{what} must be >= {least}, got {n!r}")
+    return n
+
+
 # The reading formulas are NumPy ufuncs over arrays of k readings, run with
 # overflow and invalid ignored: ``_check_moments`` reports moments that
 # overflow, not a RuntimeWarning. Each public formula enters ``with _quiet():``

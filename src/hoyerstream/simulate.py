@@ -56,15 +56,16 @@ replay noise frames for callers and tests.
 from __future__ import annotations
 
 import math
-import operator
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError
 from .indices import (
+    _TINY,
     SignalMoments,
+    _as_int,
+    _count,
     _quiet,
     as_image_matrix,
     hoyer_from_totals,
@@ -86,14 +87,6 @@ CELL_BASELINE_TAG = 6
 CELL_STATS_TAG = 7
 
 _MAX_SEED = 2**64
-
-
-def _as_int(value, what: str) -> int:
-    """``value`` as an int; a float is refused, never truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _check_seed(seed) -> None:
@@ -154,17 +147,13 @@ def float_key(value: float) -> int:
 
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 frame of iid N(0, sigma^2) noise, for replay; same inputs, same bits."""
-    p1, p2 = _as_int(p1, "dims"), _as_int(p2, "dims")
-    if p1 < 1 or p2 < 1:
-        raise ValueError(f"dims must be positive, got ({p1}, {p2})")
+    p1, p2 = _count(p1, "dims", 1), _count(p2, "dims", 1)
     return spec.sigma * _rng(spec.seed, *key).standard_normal((p1, p2))
 
 
 def _fixed_row(kind: str, p1: int, p2: int) -> np.ndarray:
     """The row that every row of the fixed-size test pattern at (p1, p2) is."""
-    p1, p2 = _as_int(p1, "dims"), _as_int(p2, "dims")
-    if p1 < 1 or p2 < 1:
-        raise ValueError(f"dims must be positive, got ({p1}, {p2})")
+    p1, p2 = _count(p1, "dims", 1), _count(p2, "dims", 1)
     if kind == "dense":
         return np.floor_divide(np.arange(p2), 50).astype(np.float64)
     if kind == "sparse":
@@ -225,7 +214,7 @@ def _row_pattern(row: np.ndarray, p1: int):
     if n < 2:
         raise DimensionError(f"a pattern of shape ({p1}, {p2}) is too small (need 2 entries)")
     s, ss, _ = matrix_stats(row)
-    if not math.isfinite(p1 * ss) or (p1 * ss < sys.float_info.min and row.any()):
+    if not math.isfinite(p1 * ss) or (p1 * ss < _TINY and row.any()):
         raise ValueError(f"anomaly sum of squares {p1 * ss!r} out of the normal float range")
     a_bar = s / p2
     alpha = math.sqrt(p1 * matrix_stats(row - a_bar)[1])
@@ -251,8 +240,7 @@ def simulate_residual_stream(
     t > 0 carry the anomaly. A frame-replay helper for callers and tests.
     """
     a = as_image_matrix(anomaly)
-    if n_ic < 1 or n_ooc < 1:
-        raise ValueError(f"n_ic and n_ooc must be >= 1, got ({n_ic}, {n_ooc})")
+    n_ic, n_ooc = _count(n_ic, "n_ic", 1), _count(n_ooc, "n_ooc", 1)
     n = n_ic + n_ooc
     frames = np.empty((n,) + a.shape)
     for k in range(n):
@@ -331,7 +319,7 @@ def _shifted_totals(spec: NoiseSpec, n: int, b_bar: float, beta: float, count: i
     u, v2 = _rotated_draws(rng, spec.sigma, n, b_bar, beta, count)
     with _quiet():
         ss = u**2 + v2
-    if not (np.isfinite(ss).all() and ss.min() >= sys.float_info.min):
+    if not (np.isfinite(ss).all() and ss.min() >= _TINY):
         raise ValueError(
             f"drawn sum of squares out of the normal float range: {ss.min()!r} .. {ss.max()!r}"
         )
@@ -381,8 +369,6 @@ def _median(values) -> float:
 
 
 def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
-    if len(bands) == 1:
-        return bands[0]
     return ErrorBand(
         m_eps=_median([b.m_eps for b in bands]),
         sigma_eps=_median([b.sigma_eps for b in bands]),
@@ -400,15 +386,8 @@ def _sweep(grid, cells, tag, seed, w0, n_ooc, mode, replicates, workers):
     threads without changing any value. One thread is faster (a cell is
     GIL-bound Python); the pool, and its import, stay behind that branch.
     """
-    replicates = _as_int(replicates, "replicates")
-    w0 = _as_int(w0, "w0")
-    n_ooc = _as_int(n_ooc, "n_ooc")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    if w0 < 2:
-        raise ValueError(f"w0 must be >= 2, got {w0}")
-    if n_ooc < 2:
-        raise ValueError(f"n_ooc must be >= 2, got {n_ooc}")
+    replicates = _count(replicates, "replicates", 1)
+    w0, n_ooc = _count(w0, "w0", 2), _count(n_ooc, "n_ooc", 2)
     seen = set()
     for value, *_, key in cells:
         if key in seen:
@@ -520,9 +499,7 @@ def verify_bias_theorem(
     else:
         a = as_image_matrix(anomaly)
         dims, pattern = a.shape, _row_pattern(a.ravel(), 1)
-    reps = _as_int(reps, "reps")
-    if reps < 2:
-        raise ValueError(f"reps must be >= 2, got {reps}")
+    reps = _count(reps, "reps", 2)
     if not math.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     h_a, predicted, empirical = pattern[3], 0.0, 0.0
@@ -543,8 +520,7 @@ def verify_bias_theorem(
 
 def near_square_dims(n: int) -> tuple[int, int]:
     """Factor a total size into the most square (p1, p2) with p1 <= p2."""
-    if n < 2:
-        raise ValueError(f"total size must be >= 2, got {n}")
+    n = _count(n, "total size", 2)
     for p1 in range(int(math.isqrt(n)), 0, -1):
         if n % p1 == 0:
             return p1, n // p1
@@ -564,11 +540,9 @@ def verify_noise_sparsity_decay(
     pairs; a float is refused, never truncated. The indices are read from
     drawn pure-noise totals (``_law_indices``).
     """
-    reps = _as_int(reps, "reps")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = _count(reps, "reps", 1)
     dims = [tuple(_as_int(d, "size") for d in size) if isinstance(size, tuple)
-            else near_square_dims(_as_int(size, "size")) for size in sizes]
+            else near_square_dims(size) for size in sizes]
     for p1, p2 in dims:
         if p1 * p2 < 3:
             raise ValueError(f"size must be >= 3 (log log n > 0 from there), got {p1 * p2}")
@@ -590,9 +564,7 @@ def verify_noise_domination(sigma: float = 100.0, reps: int = 20, seed: int = 0)
     must be; ``verify corollary1`` holds that threshold. It reads as
     ``verify_bias_theorem`` does: no anomaly matrix is built, none rescaled.
     """
-    reps = _as_int(reps, "reps")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = _count(reps, "reps", 1)
     row = _fixed_row("dense", 100, 200)
     pattern = _row_pattern(row, 200)
     predicted = pattern[3] + _exact_bias(pattern, sigma)

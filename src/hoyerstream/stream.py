@@ -12,7 +12,8 @@ generator over a long stream included, and draw no more of it than they
 read: a monitor run is ``fit_baseline(frames, w0)`` followed by
 ``monitor_series`` over the same iterator. Frame positions are plain 0-based
 counts of the items drawn; callers with their own frame numbering pass
-``t_offset`` so emitted readings carry labels in that numbering.
+``t_offset`` so emitted readings carry labels in that numbering. A frame
+count or position that is a float is refused, never truncated.
 
 Frames are float or integer matrices. An integer frame (a decoded PGM, say)
 is read as it is, never copied to float64, and gives the bits its float64
@@ -33,7 +34,9 @@ import numpy as np
 from .errors import DimensionError, MixedSignWarning
 from .indices import (
     SignalMoments,
+    _as_int,
     _correct,
+    _count,
     _quiet,
     _unchecked,
     as_image_matrix,
@@ -67,8 +70,7 @@ class BaselineModel:
         # A NumPy scalar (from ``np.var``, say) would reach the readings and
         # render as ``np.float64(...)`` in a series row.
         object.__setattr__(self, "sigma2_hat", float(self.sigma2_hat))
-        if self.w0 < 2:
-            raise ValueError(f"w0 must be >= 2, got {self.w0!r}")
+        object.__setattr__(self, "w0", _count(self.w0, "w0", 2))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -108,10 +110,11 @@ def _as_frame(x) -> np.ndarray:
 def _checked_frames(frames, count: int | None = None):
     """Yield the first ``count`` frames (all when None) of any iterable as
     ``_as_frame`` matrices of one shape, drawing no item past them. Raise
-    ValueError for a ``count`` below 1 before drawing any; at the end,
-    DimensionError for no frames, ValueError for fewer than ``count``."""
-    if count is not None and count < 1:
-        raise ValueError(f"frame count must be >= 1, got {count!r}")
+    ValueError for a ``count`` that is not an integer >= 1 before drawing
+    any; at the end, DimensionError for no frames, ValueError for fewer
+    than ``count``."""
+    if count is not None:
+        count = _count(count, "frame count", 1)
     items = iter(frames) if count is None else itertools.islice(frames, count)
     m = 0
     for m, f in enumerate(items, start=1):
@@ -164,10 +167,11 @@ def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
     total 4·log2(n) (see ``kernels``). Q is taken about the first frame, so
     a common offset of the frames does not loosen the bound.
 
-    Raises ValueError for a ``w0`` below 2 before drawing any frame.
+    Raises ValueError for a ``w0`` that is not an integer >= 2 before
+    drawing any frame.
     """
-    if w0 is not None and w0 < 2:
-        raise ValueError(f"w0 must be >= 2, got {w0!r}")
+    if w0 is not None:
+        w0 = _count(w0, "w0", 2)
     mats = _checked_frames(frames, w0)
     x0 = next(mats).astype(np.float64)
     total = x0.copy()
@@ -306,6 +310,7 @@ def monitor_series(
         items = iter(frames)
         drawn = 0
         for tau in tau_range:
+            tau = _as_int(tau, "frame position")
             if tau < drawn:
                 raise IndexError(f"frame position {tau} out of order: must be >= {drawn}")
             frame = next(itertools.islice(items, tau - drawn, None), _END)

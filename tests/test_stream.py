@@ -26,6 +26,7 @@ from hoyerstream import (
     simulate_residual_stream,
     windowed_reading,
 )
+from hoyerstream.simulate import near_square_dims
 
 from conftest import pooled_variance_oracle
 
@@ -594,3 +595,33 @@ class TestIntegerFrames:
             monitor_series([frame], b, [0])
         with pytest.raises(ValueError, match=finite):
             windowed_reading([np.zeros((3, 4)), frame], b)
+
+
+COUNT_FRAMES = [np.full((2, 3), float(k)) for k in range(5)]
+COUNT_BASE = BaselineModel(np.zeros((2, 3)), 1.0, 2)
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: fit_baseline(COUNT_FRAMES, 2.5),
+            lambda: windowed_reading(COUNT_FRAMES, COUNT_BASE, w=2.5),
+            lambda: BaselineModel(np.zeros((2, 3)), 1.0, 2.5),
+            lambda: monitor_series(COUNT_FRAMES, COUNT_BASE, [2.5]),
+            lambda: simulate_residual_stream(np.ones((2, 3)), NoiseSpec(1.0, 0), 2.5, 3),
+            lambda: simulate_residual_stream(np.ones((2, 3)), NoiseSpec(1.0, 0), 3, 2.5),
+            lambda: near_square_dims(2.5),
+        ],
+        ids=["fit_baseline", "windowed_reading", "BaselineModel", "monitor_series",
+             "n_ic", "n_ooc", "near_square_dims"],
+    )
+    def test_float_count_refused(self, call):
+        # Refused with the package's ValueError, not truncated, stored as
+        # given, or left to fail inside islice or NumPy.
+        with pytest.raises(ValueError, match="must be an integer, got 2.5"):
+            call()
+
+    def test_numpy_integer_position_reads_as_plain_int(self):
+        (reading,) = monitor_series(COUNT_FRAMES, COUNT_BASE, [np.int64(2)])
+        assert type(reading.t) is int and reading.t == 2
