@@ -29,7 +29,7 @@ from .frameio import (
     write_report_json,
     write_series_csv,
 )
-from .indices import MOMENT_MODES, hoyer_index
+from .indices import MOMENT_MODES, _count, hoyer_index
 from .stream import corrected_reading, fit_baseline, monitor_series
 
 DEFAULT_SIGMAS = [0.5 * k for k in range(1, 13)]  # 0.5 .. 6.0
@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_index(args) -> int:
-    if args.baseline is not None and args.w0 < 2:
-        raise ValueError(f"w0 must be >= 2, got {args.w0}")
+    if args.baseline is not None:
+        _count(args.w0, "w0", 2)
     matrix = load_matrix(args.matrix)
     if args.baseline is None:
         h = hoyer_index(matrix)
@@ -121,8 +121,6 @@ def _band_cells(table, x_name: str) -> list[dict]:
 def cmd_simulate(args) -> int:
     from .simulate import run_consistency, run_robustness
 
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     config = {
         "command": "simulate",
         "experiment": args.experiment,
@@ -194,8 +192,7 @@ def _scan_frames(paths, consume):
 
 
 def cmd_monitor(args) -> int:
-    if args.w0 < 2:
-        raise ValueError(f"--w0 must be >= 2, got {args.w0}")
+    _count(args.w0, "--w0", 2)
     if args.tau_from <= args.w0:
         raise ValueError(
             f"--tau-from must exceed --w0 (need {args.w0} baseline frames "

@@ -31,19 +31,17 @@ _CS_SLACK = 1e-9
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def as_image_matrix(x, *, min_entries: int = 1) -> np.ndarray:
+def as_image_matrix(x) -> np.ndarray:
     """Validate and coerce input to a C-contiguous float64 2-D array.
 
-    Raises DimensionError for wrong rank or too few entries, ValueError for
-    non-finite entries.
+    Raises DimensionError for wrong rank or no entries (the index's floor
+    of 2 is ``hoyer_from_totals``'), ValueError for non-finite entries.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got {a.ndim} dimension(s)")
-    if a.shape[0] < 1 or a.shape[1] < 1 or a.size < min_entries:
-        raise DimensionError(
-            f"matrix of shape {a.shape} is too small (need at least {min_entries} entries)"
-        )
+    if not a.size:
+        raise DimensionError(f"matrix of shape {a.shape} has no entries")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must all be finite")
     return np.ascontiguousarray(a)
@@ -150,7 +148,7 @@ def hoyer_index(x, *, clip: bool = True) -> float:
     O(1/sqrt(n)) when positive and negative entries nearly cancel, which is
     what diagnostics of pure-noise behaviour need to see.
     """
-    m = as_image_matrix(x, min_entries=2)
+    m = as_image_matrix(x)
     with _quiet():
         s, ss, _ = matrix_stats(m)
     return hoyer_from_matrix_stats(m, s, ss, clip=clip)
@@ -176,13 +174,16 @@ def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = 
 def hoyer_from_totals(s, ss, n: int, *, clip: bool = True) -> np.ndarray:
     """Index of n >= 2 entries from their sum ``s`` and sum of squares
     ``ss``: the one index formula, elementwise over arrays of totals (a
-    matrix's or drawn ones).
+    matrix's or drawn ones), and the one home of its floor: it divides by
+    sqrt(n) - 1, so fewer than 2 entries raise DimensionError.
 
     ``ss`` == 0 reads 1 (the blank-frame convention): the formula divides
     by 1 there, not 0. No rescaling happens here: totals whose ``ss``
     over- or underflowed go through ``hoyer_from_matrix_stats``, which
     holds the matrix.
     """
+    if n < 2:
+        raise DimensionError(f"too small for the index: need at least 2 entries, got {n}")
     root_n = math.sqrt(n)
     blank = ss == 0.0
     with _quiet():

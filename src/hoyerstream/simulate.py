@@ -60,7 +60,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
 from .indices import (
     _TINY,
     SignalMoments,
@@ -151,29 +150,31 @@ def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     return spec.sigma * _rng(spec.seed, *key).standard_normal((p1, p2))
 
 
+def _pattern_row(kind: str, p2: int, step: int) -> np.ndarray:
+    """The p2-column row of a test pattern of either family: ``dense`` is
+    floor((j - 1) / step) at 1-based column j, ``sparse`` is 5s on the
+    step / 5 columns from column ``step`` and zero elsewhere. The fixed
+    patterns take step 50, the scaled ones c / 2."""
+    j = np.arange(p2)  # 0-based
+    if kind == "dense":
+        return np.floor_divide(j, step).astype(np.float64)
+    if kind == "sparse":
+        return np.where((j >= step - 1) & (j < step - 1 + step // 5), 5.0, 0.0)
+    raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
+
+
 def _fixed_row(kind: str, p1: int, p2: int) -> np.ndarray:
     """The row that every row of the fixed-size test pattern at (p1, p2) is."""
-    p1, p2 = _count(p1, "dims", 1), _count(p2, "dims", 1)
-    if kind == "dense":
-        return np.floor_divide(np.arange(p2), 50).astype(np.float64)
-    if kind == "sparse":
-        j = np.arange(1, p2 + 1)
-        return np.where((j >= 50) & (j < 60), 5.0, 0.0)
-    raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
+    _count(p1, "dims", 1)
+    return _pattern_row(kind, _count(p2, "dims", 1), 50)
 
 
 def _scaled_row(kind: str, c: int) -> np.ndarray:
     """The row that every row of ``make_scaled_anomaly(kind, c)`` is."""
+    c = _as_int(c, "multiplier c")
     if c <= 0 or c % 10 != 0:
         raise ValueError(f"multiplier c must be a positive multiple of 10, got {c!r}")
-    p2 = 2 * c
-    j = np.arange(1, p2 + 1)
-    if kind == "dense":
-        return np.floor_divide(4 * (j - 1), p2).astype(np.float64)
-    if kind == "sparse":
-        start = p2 // 4
-        return np.where((j >= start) & (j < start + c // 10), 5.0, 0.0)
-    raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
+    return _pattern_row(kind, 2 * c, c // 2)
 
 
 def _repeat_row(row: np.ndarray, p1: int) -> np.ndarray:
@@ -211,8 +212,6 @@ def _row_pattern(row: np.ndarray, p1: int):
     a sum of squares that ``hoyer_index`` would rescale raises ValueError."""
     p2 = row.size
     n = p1 * p2
-    if n < 2:
-        raise DimensionError(f"a pattern of shape ({p1}, {p2}) is too small (need 2 entries)")
     s, ss, _ = matrix_stats(row)
     if not math.isfinite(p1 * ss) or (p1 * ss < _TINY and row.any()):
         raise ValueError(f"anomaly sum of squares {p1 * ss!r} out of the normal float range")
@@ -378,16 +377,19 @@ def _aggregate(bands: list[ErrorBand]) -> ErrorBand:
 def _sweep(grid, cells, tag, seed, w0, n_ooc, mode, replicates, workers):
     """Band every ``(value, pattern, sigma, key)`` cell once per replicate,
     seeded ``subseed(seed, tag, key, rep)``, and table the bands by value.
-    Every job's ``NoiseSpec`` is built before any cell runs, so a bad sigma
-    or seed, or a value repeated in the ``grid`` named, fails the sweep up
-    front. A grid value's pattern is shared by its replicates.
+    Every job's ``NoiseSpec`` is built before any cell runs, so a bad sigma,
+    seed or count, or a ``grid`` empty or repeating a value, fails the sweep
+    up front. A grid value's pattern is shared by its replicates.
 
     Cells are independent, so with ``workers`` > 1 they run on that many
     threads without changing any value. One thread is faster (a cell is
     GIL-bound Python); the pool, and its import, stay behind that branch.
     """
+    if not cells:
+        raise ValueError(f"{grid} is empty")
     replicates = _count(replicates, "replicates", 1)
     w0, n_ooc = _count(w0, "w0", 2), _count(n_ooc, "n_ooc", 2)
+    workers = _count(workers, "workers", 1)
     seen = set()
     for value, *_, key in cells:
         if key in seen:
@@ -402,7 +404,7 @@ def _sweep(grid, cells, tag, seed, w0, n_ooc, mode, replicates, workers):
     def run(job):
         return _cell_band(*job, w0, n_ooc, mode)
 
-    if workers is not None and workers > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -424,7 +426,7 @@ def run_robustness(
     dims: tuple[int, int] = (100, 200),
     mode: str = "debias",
     replicates: int = 1,
-    workers: int | None = None,
+    workers: int = 1,
 ):
     """Error bands of the corrected index across noise levels, fixed dims.
 
@@ -435,15 +437,14 @@ def run_robustness(
     ``_cell_band``), so a cell makes no frame and costs the same whatever
     ``dims`` and ``w0`` are. Returns {sigma: ErrorBand}; with
     ``replicates`` > 1 each entry is the per-field median over replicate
-    bands. A repeated sigma is refused. The sweep runs on one thread
+    bands. An empty or repeated grid is refused. One thread runs the sweep
     unless ``workers`` > 1 asks for a pool, which changes no value.
     """
     sigmas = [float(s) for s in sigmas]
-    if not sigmas:
-        raise ValueError("empty sigma grid")
     if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
         raise ValueError(f"sigmas must be finite and > 0, got {sigmas}")
-    pattern = _row_pattern(_fixed_row(kind, *dims), dims[0])
+    p1, p2 = (_count(d, "dims", 1) for d in dims)
+    pattern = _row_pattern(_fixed_row(kind, p1, p2), p1)
     cells = [(s, pattern, s, float_key(s)) for s in sigmas]
     return _sweep("sigmas", cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
@@ -457,7 +458,7 @@ def run_consistency(
     n_ooc: int = 200,
     mode: str = "debias",
     replicates: int = 1,
-    workers: int | None = None,
+    workers: int = 1,
 ):
     """Error bands of the corrected index across dimension multipliers, fixed noise.
 
@@ -467,8 +468,6 @@ def run_consistency(
     frame at any c. Returns {c: ErrorBand}.
     """
     cs = [_as_int(c, "each c") for c in cs]
-    if not cs:
-        raise ValueError("empty multiplier grid")
     cells = [(c, _row_pattern(_scaled_row(kind, c), c), sigma, c) for c in cs]
     return _sweep("cs", cells, CONSISTENCY_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
@@ -494,7 +493,7 @@ def verify_bias_theorem(
     leaves the normal float range is refused, not rescaled.
     """
     if np.ndim(anomaly) == 0:
-        p1, p2 = dims = tuple(_as_int(d, "dims") for d in dims)
+        p1, p2 = dims = tuple(_count(d, "dims", 1) for d in dims)
         pattern = _row_pattern(np.full(p2, float(anomaly)), p1)
     else:
         a = as_image_matrix(anomaly)
@@ -541,7 +540,7 @@ def verify_noise_sparsity_decay(
     drawn pure-noise totals (``_law_indices``).
     """
     reps = _count(reps, "reps", 1)
-    dims = [tuple(_as_int(d, "size") for d in size) if isinstance(size, tuple)
+    dims = [tuple(_count(d, "size", 1) for d in size) if isinstance(size, tuple)
             else near_square_dims(size) for size in sizes]
     for p1, p2 in dims:
         if p1 * p2 < 3:
@@ -567,8 +566,8 @@ def verify_noise_domination(sigma: float = 100.0, reps: int = 20, seed: int = 0)
     reps = _count(reps, "reps", 1)
     row = _fixed_row("dense", 100, 200)
     pattern = _row_pattern(row, 200)
-    predicted = pattern[3] + _exact_bias(pattern, sigma)
     values = _law_indices(pattern, sigma, seed, (DOMINATION_CHECK_TAG,), reps)
+    predicted = pattern[3] + _exact_bias(pattern, sigma)
     return {
         "dims": (200, row.size),
         "sigma": sigma,

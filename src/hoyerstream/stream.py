@@ -13,7 +13,7 @@ read: a monitor run is ``fit_baseline(frames, w0)`` followed by
 ``monitor_series`` over the same iterator. Frame positions are plain 0-based
 counts of the items drawn; callers with their own frame numbering pass
 ``t_offset`` so emitted readings carry labels in that numbering. A frame
-count or position that is a float is refused, never truncated.
+count, position or label that is a float is refused, never truncated.
 
 Frames are float or integer matrices. An integer frame (a decoded PGM, say)
 is read as it is, never copied to float64, and gives the bits its float64
@@ -55,14 +55,17 @@ _END = object()
 
 @dataclass(frozen=True, eq=False)
 class BaselineModel:
-    """Frozen in-control baseline: mean frame, noise variance, window length."""
+    """Frozen in-control baseline: mean frame, noise variance, window length.
+
+    ``mu0_hat`` is a read-only view of the array passed in (or of its
+    float64 copy); the caller's array stays writeable."""
 
     mu0_hat: np.ndarray
     sigma2_hat: float
     w0: int
 
     def __post_init__(self):
-        mu = as_image_matrix(self.mu0_hat)
+        mu = as_image_matrix(self.mu0_hat).view()
         mu.setflags(write=False)
         object.__setattr__(self, "mu0_hat", mu)
         if not math.isfinite(self.sigma2_hat) or self.sigma2_hat < 0.0:
@@ -226,13 +229,11 @@ def _readings(
     ts, totals = [], []
     with _quiet():
         for t, x in frames:
+            ts.append(_as_int(t, "label t"))
             np.copyto(r, _baseline_frame(x, baseline))  # exact: the frame as float64
             r -= baseline.mu0_hat
-            if r.size < 2:
-                raise DimensionError("index needs at least 2 entries per frame")
             s, ss, pos = matrix_stats(r)
             _warn_if_mixed_sign(s, pos)
-            ts.append(t)
             totals.append((s, ss, hoyer_from_matrix_stats(r, s, ss)))
     if not ts:
         return []

@@ -104,6 +104,29 @@ class TestAnomalyFactories:
         alpha = math.sqrt(matrix_stats(a - a_bar)[1])
         assert _row_pattern(row, p1) == (n, a_bar, alpha, hoyer_index(a))
 
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    def test_shared_row_builder_keeps_the_old_rows(self, kind):
+        # The formulas each family had before the two shared one builder.
+        def old_fixed(p2):
+            j = np.arange(1, p2 + 1)
+            if kind == "dense":
+                return np.floor_divide(np.arange(p2), 50).astype(np.float64)
+            return np.where((j >= 50) & (j < 60), 5.0, 0.0)
+
+        def old_scaled(c):
+            p2 = 2 * c
+            j = np.arange(1, p2 + 1)
+            if kind == "dense":
+                return np.floor_divide(4 * (j - 1), p2).astype(np.float64)
+            return np.where((j >= p2 // 4) & (j < p2 // 4 + c // 10), 5.0, 0.0)
+
+        for p2 in (1, 49, 50, 59, 60, 61, 200, 1001):
+            row = _fixed_row(kind, 3, p2)
+            assert row.dtype == np.float64 and row.tobytes() == old_fixed(p2).tobytes()
+        for c in range(10, 2001, 10):
+            row = _scaled_row(kind, c)
+            assert row.dtype == np.float64 and row.tobytes() == old_scaled(c).tobytes()
+
     def test_row_pattern_of_other_dims(self):
         a = make_sparse_anomaly(7, 130)
         n, a_bar, alpha, h_true = _row_pattern(a[0], 7)

@@ -19,11 +19,16 @@ from hoyerstream import (
     fit_baseline,
     hoyer_index,
     make_dense_anomaly,
+    make_scaled_anomaly,
     make_sparse_anomaly,
     monitor_series,
     residual,
+    run_robustness,
     sample_noise,
     simulate_residual_stream,
+    verify_bias_theorem,
+    verify_noise_domination,
+    verify_noise_sparsity_decay,
     windowed_reading,
 )
 from hoyerstream.simulate import near_square_dims
@@ -216,6 +221,15 @@ class TestFitBaseline:
 
     def test_baseline_mean_is_read_only(self):
         b = fit_baseline([np.zeros((2, 2)), np.ones((2, 2))])
+        with pytest.raises(ValueError):
+            b.mu0_hat[0, 0] = 9.0
+
+    def test_caller_array_stays_writeable(self):
+        # mu0_hat is a read-only view: the array passed in is not frozen.
+        mine = np.zeros((3, 4))
+        b = BaselineModel(mine, 1.0, 5)
+        mine[0, 0] = 1.0
+        assert b.mu0_hat[0, 0] == 1.0
         with pytest.raises(ValueError):
             b.mu0_hat[0, 0] = 9.0
 
@@ -625,3 +639,61 @@ class TestIntegerCounts:
     def test_numpy_integer_position_reads_as_plain_int(self):
         (reading,) = monitor_series(COUNT_FRAMES, COUNT_BASE, [np.int64(2)])
         assert type(reading.t) is int and reading.t == 2
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: corrected_reading(np.ones((2, 3)), COUNT_BASE, t=np.int64(4)),
+            lambda: windowed_reading(COUNT_FRAMES, COUNT_BASE, t=np.int32(4)),
+            lambda: monitor_series(COUNT_FRAMES, COUNT_BASE, [2], t_offset=np.int64(2))[0],
+        ],
+        ids=["corrected_reading", "windowed_reading", "monitor_series"],
+    )
+    def test_numpy_integer_label_reads_as_plain_int(self, call):
+        reading = call()
+        assert type(reading.t) is int and reading.t == 4
+
+
+ONE_ENTRY = "too small for the index: need at least 2 entries, got 1"
+
+
+class TestInputRules:
+    """Each input rule is decided in one place, so every entry point refuses
+    a bad input with the same package error, naming what is wrong."""
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: corrected_reading(np.ones((2, 3)), COUNT_BASE, t=1.5),
+             ValueError, "label t must be an integer, got 1.5"),
+            (lambda: monitor_series(COUNT_FRAMES, COUNT_BASE, [2], t_offset=2.5),
+             ValueError, "label t must be an integer, got 4.5"),
+            (lambda: verify_bias_theorem(1.0, 1.0, dims=(3, -2)),
+             ValueError, "dims must be >= 1, got -2"),
+            (lambda: verify_noise_sparsity_decay([(-1, -5)]),
+             ValueError, "size must be >= 1, got -1"),
+            (lambda: run_robustness([1.0], "dense", 0, dims=(100,)),
+             ValueError, "expected 2"),
+            (lambda: run_robustness([1.0], "dense", 0, w0=20, n_ooc=10, workers=0),
+             ValueError, "workers must be >= 1, got 0"),
+            (lambda: run_robustness([1.0], "dense", 0, w0=20, n_ooc=10, workers=-3),
+             ValueError, "workers must be >= 1, got -3"),
+            (lambda: run_robustness([1.0], "dense", 0, w0=20, n_ooc=10, workers=2.5),
+             ValueError, "workers must be an integer, got 2.5"),
+            (lambda: make_scaled_anomaly("dense", 10.0),
+             ValueError, "multiplier c must be an integer, got 10.0"),
+            (lambda: hoyer_index([[1.0]]), DimensionError, ONE_ENTRY),
+            (lambda: corrected_reading([[1.0]], BaselineModel(np.zeros((1, 1)), 1.0, 2)),
+             DimensionError, ONE_ENTRY),
+            (lambda: run_robustness([1.0], "dense", 0, dims=(1, 1)), DimensionError, ONE_ENTRY),
+            (lambda: verify_noise_domination(sigma=float("nan")),
+             ValueError, "sigma must be finite and > 0, got nan"),
+        ],
+        ids=["float_t", "float_t_offset", "negative_dims", "negative_size", "one_dim",
+             "workers_0", "workers_negative", "workers_float", "float_c",
+             "one_entry_hoyer_index", "one_entry_corrected_reading",
+             "one_entry_run_robustness", "domination_nan_sigma"],
+    )
+    def test_refused_by_name(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
