@@ -62,16 +62,12 @@ __all__ = [
     "estimate_moments",
     "fit_baseline",
     "hoyer_index",
-    "make_dense_anomaly",
-    "make_scaled_anomaly",
-    "make_sparse_anomaly",
     "monitor_series",
     "noise_bias",
     "residual",
     "run_consistency",
     "run_robustness",
     "sample_noise",
-    "simulate_residual_stream",
     "verify_bias_theorem",
     "verify_noise_domination",
     "verify_noise_sparsity_decay",

@@ -24,7 +24,6 @@ from .errors import DimensionError, FrameFormatError
 from .frameio import (
     iter_frames,
     list_frame_dir,
-    load_matrix,
     series_row,
     write_report_json,
     write_series_csv,
@@ -94,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_index(args) -> int:
     if args.baseline is not None:
         _count(args.w0, "w0", 2)
-    matrix = load_matrix(args.matrix)
+    matrix = next(iter_frames([args.matrix]))
     if args.baseline is None:
         h = hoyer_index(matrix)
         if not matrix.any():

@@ -1,5 +1,5 @@
-"""Disk formats: CSV matrices, PGM grayscale frames, frame directories, and
-the series/report writers.
+"""Disk formats: the CSV matrix and PGM grayscale frame readers, frame
+directories, and the series/report writers.
 
 Readers never guess: ragged rows, non-numeric fields (digit grouping such
 as ``1_0`` and non-ASCII digits included), PGM header fields and P2 samples
@@ -8,7 +8,8 @@ mismatched frame sizes are all hard errors naming the file (and
 line/column where that makes sense). PGM samples are decoded as native
 integers, each file's into a new array: ``iter_frames`` holds one frame at
 a time, and a caller may keep any frame it draws.
-Writers are byte-stable: the same values always produce the same bytes.
+The package reads matrices and frames and writes no matrix or frame. Its
+writers are byte-stable: the same values always produce the same bytes.
 Readings go to disk only through ``series_row``, the one rendering of a
 ``SparsityReading`` as a series CSV row, which both the series file and
 ``index --baseline`` use.
@@ -25,7 +26,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DimensionError, FrameFormatError
-from .indices import as_image_matrix
 from .stream import SparsityReading
 
 SERIES_COLUMNS = ("t", "h_raw", "bias", "g", "g_unclamped", "a_bar", "a2_bar", "sigma2")
@@ -91,17 +91,6 @@ def read_matrix_csv(path) -> np.ndarray:
     if not rows:
         raise FrameFormatError(f"{path}: no numeric rows")
     return np.array(rows, dtype=np.float64)
-
-
-def write_matrix_csv(matrix, path):
-    """Write a matrix in the format ``read_matrix_csv`` accepts; values keep
-    full float64 precision, so a write/read round-trip is exact."""
-    m = as_image_matrix(matrix)
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in m:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
 
 
 # One PGM header token: whitespace and '#' comments skipped, then a run of
@@ -205,23 +194,6 @@ def read_pgm(path) -> np.ndarray:
     return _decode_pgm(Path(path)).astype(np.float64)
 
 
-def write_pgm(matrix, path, maxval: int = 65535):
-    """Write non-negative integer-valued intensities as binary (P5) PGM."""
-    m = as_image_matrix(matrix)
-    if not 1 <= maxval <= _PGM_MAX_MAXVAL:
-        raise ValueError(f"maxval {maxval} out of range [1, {_PGM_MAX_MAXVAL}]")
-    if m.min() < 0 or m.max() > maxval:
-        raise ValueError(f"pixel values must lie in [0, {maxval}]")
-    rounded = np.rint(m)
-    if not np.array_equal(rounded, m):
-        raise ValueError("pixel values must be integral; quantize before writing")
-    dtype = ">u2" if maxval > 255 else np.uint8
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{m.shape[1]} {m.shape[0]}\n{maxval}\n".encode("ascii"))
-        fh.write(rounded.astype(dtype).tobytes())
-
-
 def _is_pgm(path: Path) -> bool:
     """True for a .pgm/.pnm file, False for .csv; any other extension is a
     FrameFormatError."""
@@ -231,13 +203,6 @@ def _is_pgm(path: Path) -> bool:
     if suffix == ".csv":
         return False
     raise FrameFormatError(f"{path}: unsupported extension {suffix!r} (use .csv or .pgm)")
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a single matrix as float64, dispatching on file extension
-    (.csv/.pgm/.pnm)."""
-    path = Path(path)
-    return read_pgm(path) if _is_pgm(path) else read_matrix_csv(path)
 
 
 def _frame_sort_index(path: Path) -> int:

@@ -241,15 +241,6 @@ def moment_floor(sigma2_hat: float) -> float:
     return max(1e-12 * sigma2_hat, 1e-300)
 
 
-def moments_from_stats(
-    s: float, ss: float, n: int, sigma2_hat: float, mode: str = "debias"
-) -> SignalMoments:
-    """Moment estimates from a precomputed entry sum and sum of squares."""
-    with _quiet():
-        a_bar, a2_bar = _moments_of_totals(s, ss, n, sigma2_hat, mode)
-    return _unchecked(SignalMoments, a_bar=float(a_bar), a2_bar=float(a2_bar), sigma2=sigma2_hat)
-
-
 def _moments_of_totals(s, ss, n: int, sigma2_hat: float, mode: str):
     """(a_bar, a2_bar) elementwise over totals, from the mean magnitude
     |s| / n and mean square ss / n, checked against ``SignalMoments``."""
@@ -284,12 +275,12 @@ def readings_from_totals(
     """Corrected readings of k residuals of n >= 2 entries each from their
     entry sums ``s`` and sums of squares ``ss`` (arrays of k), in one pass
     over the arrays: the raw index (``hoyer_from_totals``), the
-    moments (``moments_from_stats``), the bias (``noise_bias``) and the
+    moments (``estimate_moments``), the bias (``noise_bias``) and the
     correction (``corrected_hoyer``), bit for bit.
 
     A caller holding the matrix passes the ``h_raw`` it read from it,
     which stays right when ``ss`` over- or underflowed. Raises ValueError
-    as ``moments_from_stats`` does, for the first bad reading.
+    as ``SignalMoments`` does, for the first bad reading.
     """
     with _quiet():
         h_raw = hoyer_from_totals(s, ss, n) if h_raw is None else h_raw
@@ -310,5 +301,7 @@ def estimate_moments(r, sigma2_hat: float, mode: str = "debias") -> SignalMoment
     residual stays well defined.
     """
     m = as_image_matrix(r)
-    s, ss, _ = matrix_stats(m)
-    return moments_from_stats(s, ss, m.size, sigma2_hat, mode)
+    with _quiet():
+        s, ss, _ = matrix_stats(m)
+        a_bar, a2_bar = _moments_of_totals(s, ss, m.size, sigma2_hat, mode)
+    return _unchecked(SignalMoments, a_bar=float(a_bar), a2_bar=float(a2_bar), sigma2=sigma2_hat)

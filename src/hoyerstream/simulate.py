@@ -1,6 +1,6 @@
-"""Experiment generators and drivers: test anomalies, seeded noise, residual
-streams with a change at t = 0, error bands, and the robustness/consistency
-sweeps plus direct Monte Carlo checks of the asymptotic claims.
+"""Experiment generators and drivers: test patterns, seeded noise, error
+bands, and the robustness/consistency sweeps plus direct Monte Carlo checks
+of the asymptotic claims.
 
 Randomness contract
 -------------------
@@ -49,8 +49,9 @@ n = 2), whatever n and w0 are.
 A ``verify`` check makes no frame and no anomaly matrix either: it reads its
 anomaly from one row (``_row_pattern``) and the totals of its ``reps`` noisy
 anomalies from one ``_shifted_totals`` draw (``_law_indices``).
-``sample_noise``, ``stream_frame_noise`` and ``simulate_residual_stream``
-replay noise frames for callers and tests.
+``sample_noise`` and ``stream_frame_noise`` replay noise frames: the frame
+at position k of a simulated stream has the noise ``stream_frame_noise``
+gives for k, plus the anomaly from the change on.
 """
 
 from __future__ import annotations
@@ -127,6 +128,13 @@ class ErrorBand:
         return self.hi - self.lo
 
 
+def _dims(pair, what: str) -> tuple[int, int]:
+    """``pair`` as a (p1, p2) pair of integers of at least 1."""
+    if len(pair) != 2:
+        raise ValueError(f"{what} must be a (p1, p2) pair, got {pair!r}")
+    return _count(pair[0], what, 1), _count(pair[1], what, 1)
+
+
 def _rng(seed: int, *key: int) -> np.random.Generator:
     """A fresh generator on the Philox sub-stream keyed ``key`` under ``seed``."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
@@ -146,7 +154,7 @@ def float_key(value: float) -> int:
 
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 frame of iid N(0, sigma^2) noise, for replay; same inputs, same bits."""
-    p1, p2 = _count(p1, "dims", 1), _count(p2, "dims", 1)
+    p1, p2 = _dims((p1, p2), "dims")
     return spec.sigma * _rng(spec.seed, *key).standard_normal((p1, p2))
 
 
@@ -163,43 +171,23 @@ def _pattern_row(kind: str, p2: int, step: int) -> np.ndarray:
     raise ValueError(f"kind must be 'dense' or 'sparse', got {kind!r}")
 
 
-def _fixed_row(kind: str, p1: int, p2: int) -> np.ndarray:
-    """The row that every row of the fixed-size test pattern at (p1, p2) is."""
-    _count(p1, "dims", 1)
-    return _pattern_row(kind, _count(p2, "dims", 1), 50)
+def _fixed_row(kind: str, p2: int) -> np.ndarray:
+    """The row that every row of a fixed-size test pattern p2 columns wide
+    is. Dense: a column staircase, floor((j - 1) / 50) at 1-based column j.
+    Sparse: 5s on the columns 50 <= j < 60, zero elsewhere."""
+    return _pattern_row(kind, p2, 50)
 
 
 def _scaled_row(kind: str, c: int) -> np.ndarray:
-    """The row that every row of ``make_scaled_anomaly(kind, c)`` is."""
+    """The row that every row of the size-c test pattern is: the 1 x 2 base
+    shape scaled to c rows by 2c columns, for a multiplier c that is a
+    positive multiple of 10, so the sparse band width c/10 and offset c/2
+    stay integral. Dense: four equal column bands of values 0..3. Sparse:
+    5s on the c/10 columns starting at 1-based column c/2."""
     c = _as_int(c, "multiplier c")
     if c <= 0 or c % 10 != 0:
         raise ValueError(f"multiplier c must be a positive multiple of 10, got {c!r}")
     return _pattern_row(kind, 2 * c, c // 2)
-
-
-def _repeat_row(row: np.ndarray, p1: int) -> np.ndarray:
-    return np.ascontiguousarray(np.broadcast_to(row, (p1, row.size)))
-
-
-def make_dense_anomaly(p1: int, p2: int) -> np.ndarray:
-    """Column staircase: entry (i, j) is floor((j - 1) / 50) with 1-based j."""
-    return _repeat_row(_fixed_row("dense", p1, p2), p1)
-
-
-def make_sparse_anomaly(p1: int, p2: int) -> np.ndarray:
-    """Band of 5s on columns 50 <= j < 60 (1-based), zero elsewhere."""
-    return _repeat_row(_fixed_row("sparse", p1, p2), p1)
-
-
-def make_scaled_anomaly(kind: str, c: int) -> np.ndarray:
-    """Size-c rendering of the base patterns on a (c, 2c) grid.
-
-    The base shape is 1 x 2; a multiplier c (a positive multiple of 10, so
-    the sparse band width c/10 and offset c/2 stay integral) scales it to
-    c rows by 2c columns. Dense: four equal column bands of values 0..3.
-    Sparse: 5s on the c/10 columns starting at 1-based column c/2.
-    """
-    return _repeat_row(_scaled_row(kind, c), c)
 
 
 def _row_pattern(row: np.ndarray, p1: int):
@@ -221,31 +209,9 @@ def _row_pattern(row: np.ndarray, p1: int):
 
 
 def stream_frame_noise(p1: int, p2: int, spec: NoiseSpec, position: int) -> np.ndarray:
-    """Noise of the frame at 0-based ``position`` of a simulated stream.
-
-    A frame-replay helper: any frame can be replayed without rebuilding the
-    stream; ``simulate_residual_stream`` fills frame k with exactly this.
-    """
+    """Noise of the frame at 0-based ``position`` of a simulated stream, so
+    any frame can be replayed without rebuilding the stream."""
     return sample_noise(p1, p2, spec, STREAM_FRAME_TAG, position)
-
-
-def simulate_residual_stream(
-    anomaly, spec: NoiseSpec, n_ic: int, n_ooc: int
-) -> np.ndarray:
-    """Residual stream with a change at t = 0: noise before, shift plus noise after.
-
-    Returns an (n_ic + n_ooc, p1, p2) block; position k holds the frame at
-    stream time t = k - n_ic + 1, so t runs -n_ic+1 .. n_ooc and frames with
-    t > 0 carry the anomaly. A frame-replay helper for callers and tests.
-    """
-    a = as_image_matrix(anomaly)
-    n_ic, n_ooc = _count(n_ic, "n_ic", 1), _count(n_ooc, "n_ooc", 1)
-    n = n_ic + n_ooc
-    frames = np.empty((n,) + a.shape)
-    for k in range(n):
-        frames[k] = stream_frame_noise(*a.shape, spec, k)
-    frames[n_ic:] += a
-    return frames
 
 
 def error_band(errors) -> ErrorBand:
@@ -443,8 +409,8 @@ def run_robustness(
     sigmas = [float(s) for s in sigmas]
     if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
         raise ValueError(f"sigmas must be finite and > 0, got {sigmas}")
-    p1, p2 = (_count(d, "dims", 1) for d in dims)
-    pattern = _row_pattern(_fixed_row(kind, p1, p2), p1)
+    p1, p2 = _dims(dims, "dims")
+    pattern = _row_pattern(_fixed_row(kind, p2), p1)
     cells = [(s, pattern, s, float_key(s)) for s in sigmas]
     return _sweep("sigmas", cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
@@ -493,7 +459,7 @@ def verify_bias_theorem(
     leaves the normal float range is refused, not rescaled.
     """
     if np.ndim(anomaly) == 0:
-        p1, p2 = dims = tuple(_count(d, "dims", 1) for d in dims)
+        p1, p2 = dims = _dims(dims, "dims")
         pattern = _row_pattern(np.full(p2, float(anomaly)), p1)
     else:
         a = as_image_matrix(anomaly)
@@ -540,8 +506,8 @@ def verify_noise_sparsity_decay(
     drawn pure-noise totals (``_law_indices``).
     """
     reps = _count(reps, "reps", 1)
-    dims = [tuple(_count(d, "size", 1) for d in size) if isinstance(size, tuple)
-            else near_square_dims(size) for size in sizes]
+    dims = [_dims(size, "size") if isinstance(size, tuple) else near_square_dims(size)
+            for size in sizes]
     for p1, p2 in dims:
         if p1 * p2 < 3:
             raise ValueError(f"size must be >= 3 (log log n > 0 from there), got {p1 * p2}")
@@ -564,7 +530,7 @@ def verify_noise_domination(sigma: float = 100.0, reps: int = 20, seed: int = 0)
     ``verify_bias_theorem`` does: no anomaly matrix is built, none rescaled.
     """
     reps = _count(reps, "reps", 1)
-    row = _fixed_row("dense", 100, 200)
+    row = _fixed_row("dense", 200)
     pattern = _row_pattern(row, 200)
     values = _law_indices(pattern, sigma, seed, (DOMINATION_CHECK_TAG,), reps)
     predicted = pattern[3] + _exact_bias(pattern, sigma)

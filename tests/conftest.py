@@ -1,14 +1,52 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and fixtures for the test suite.
 
-These deliberately avoid the package's own accumulation paths: plain Python
-loops with ``math.fsum`` and textbook formulas, so every frozen expected
-value is computed by arithmetic the library never touches.
+The oracles deliberately avoid the package's own accumulation paths: plain
+Python loops with ``math.fsum`` and textbook formulas, so every frozen
+expected value is computed by arithmetic the library never touches. The
+fixtures build what the package only reads: test-pattern matrices from the
+package's own rows, simulated streams, and CSV and PGM files.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from hoyerstream.simulate import _fixed_row, _scaled_row, stream_frame_noise
+
+
+def fixed_anomaly(kind, p1, p2):
+    """The p1 x p2 fixed test pattern: p1 copies of the package's row."""
+    return np.broadcast_to(_fixed_row(kind, p2), (p1, p2)).copy()
+
+
+def scaled_anomaly(kind, c):
+    """The (c, 2c) size-c test pattern: c copies of the package's row."""
+    return np.broadcast_to(_scaled_row(kind, c), (c, 2 * c)).copy()
+
+
+def residual_stream(anomaly, spec, n_ic, n_ooc):
+    """(n_ic + n_ooc, p1, p2) frames of a simulated stream: frame k is
+    ``stream_frame_noise`` at k, plus the anomaly from n_ic on."""
+    frames = np.empty((n_ic + n_ooc,) + anomaly.shape)
+    for k in range(len(frames)):
+        frames[k] = stream_frame_noise(*anomaly.shape, spec, k)
+    frames[n_ic:] += anomaly
+    return frames
+
+
+def write_matrix_csv(matrix, path):
+    """A CSV matrix of ``repr`` floats, which reads back exactly."""
+    rows = (",".join(repr(float(v)) for v in row) + "\n" for row in np.asarray(matrix))
+    Path(path).write_text("".join(rows), encoding="utf-8")
+
+
+def write_pgm(matrix, path, maxval=65535):
+    """A binary (P5) PGM of integer-valued ``matrix`` in [0, maxval]."""
+    m = np.asarray(matrix)
+    header = f"P5\n{m.shape[1]} {m.shape[0]}\n{maxval}\n".encode("ascii")
+    Path(path).write_bytes(header + m.astype(">u2" if maxval > 255 else "u1").tobytes())
 
 
 def hoyer_oracle(matrix) -> float:

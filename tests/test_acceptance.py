@@ -17,21 +17,18 @@ import pytest
 from hoyerstream import (
     NoiseSpec,
     hoyer_index,
-    make_dense_anomaly,
-    make_sparse_anomaly,
     run_consistency,
     run_robustness,
-    simulate_residual_stream,
     verify_bias_theorem,
     verify_noise_domination,
     verify_noise_sparsity_decay,
     windowed_reading,
 )
 from hoyerstream.cli import main
-from hoyerstream.frameio import write_pgm
+from hoyerstream.simulate import stream_frame_noise
 from hoyerstream.stream import BaselineModel
 
-from conftest import hoyer_oracle
+from conftest import fixed_anomaly, hoyer_oracle, residual_stream, write_pgm
 
 SEED = 20260810
 SIGMA_GRID = [0.5 * k for k in range(1, 13)]
@@ -48,7 +45,7 @@ def test_c01_exact_index_values():
     single = np.zeros((12, 12))
     single[4, 5] = -2.5
     assert abs(hoyer_index(single) - 1.0) < 1e-12
-    dense, sparse = make_dense_anomaly(100, 200), make_sparse_anomaly(100, 200)
+    dense, sparse = fixed_anomaly("dense", 100, 200), fixed_anomaly("sparse", 100, 200)
     hd, hs = hoyer_oracle(dense), hoyer_oracle(sparse)
     assert hoyer_index(dense) == pytest.approx(hd, abs=1e-9)
     assert hoyer_index(sparse) == pytest.approx(hs, abs=1e-9)
@@ -137,14 +134,14 @@ def test_c07_window_averaging_converges():
     widths = [1, 10, 100]
     lines = []
     for kind in ("dense", "sparse"):
-        anomaly = make_dense_anomaly(100, 200) if kind == "dense" else make_sparse_anomaly(100, 200)
+        anomaly = fixed_anomaly(kind, 100, 200)
         h_true = hoyer_index(anomaly)
         baseline = BaselineModel(np.zeros((100, 200)), sigma * sigma, 2)
         medians = []
         for w in widths:
             errs = []
             for rep in range(20):
-                frames = simulate_residual_stream(
+                frames = residual_stream(
                     anomaly, NoiseSpec(sigma, SEED + rep), n_ic=1, n_ooc=w
                 )[1:]
                 errs.append(abs(windowed_reading(frames, baseline).h_raw - h_true))
@@ -193,11 +190,12 @@ def test_c10_monitor_stream_shape(tmp_path, monkeypatch, capsys):
     mu = 600.0 + 400.0 * np.linspace(0.0, 1.0, p1)[:, None] * np.ones((1, p2))
     anomaly = np.zeros((p1, p2))
     anomaly[40:90, 100:220] = 300.0
-    frames = simulate_residual_stream(anomaly, NoiseSpec(30.0, SEED), change, total - change)
+    spec = NoiseSpec(30.0, SEED)
     frame_dir = tmp_path / "frames"
     frame_dir.mkdir()
     for k in range(total):
-        quantized = np.clip(np.rint(frames[k] + mu), 0, 4095)
+        shift = anomaly if k >= change else 0.0
+        quantized = np.clip(np.rint(stream_frame_noise(p1, p2, spec, k) + shift + mu), 0, 4095)
         write_pgm(quantized, frame_dir / f"frame_{k + 1:04d}.pgm", maxval=4095)
     monkeypatch.chdir(tmp_path)
     t0 = time.perf_counter()

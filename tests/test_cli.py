@@ -16,12 +16,12 @@ from hoyerstream import (
     NoiseSpec,
     fit_baseline,
     hoyer_index,
-    make_sparse_anomaly,
     monitor_series,
-    simulate_residual_stream,
 )
 from hoyerstream.cli import main
-from hoyerstream.frameio import read_frame_dir, write_matrix_csv, write_pgm, write_series_csv
+from hoyerstream.frameio import iter_frames, list_frame_dir, read_frame_dir, write_series_csv
+
+from conftest import fixed_anomaly, residual_stream, write_matrix_csv, write_pgm
 
 SPARSE_H = 0.7819222273431695
 
@@ -34,7 +34,7 @@ def in_tmp(tmp_path, monkeypatch):
 
 class TestIndex:
     def test_sparse_pattern_csv(self, in_tmp, capsys):
-        write_matrix_csv(make_sparse_anomaly(100, 200), "a.csv")
+        write_matrix_csv(fixed_anomaly("sparse", 100, 200), "a.csv")
         assert main(["index", "a.csv"]) == 0
         out = capsys.readouterr().out.strip()
         assert float(out) == pytest.approx(SPARSE_H, abs=1e-9)
@@ -55,7 +55,7 @@ class TestIndex:
         os.mkdir("ic")
         for k in range(3):
             write_matrix_csv(mu, f"ic/frame_{k}.csv")
-        write_matrix_csv(mu + make_sparse_anomaly(100, 200), "x.csv")
+        write_matrix_csv(mu + fixed_anomaly("sparse", 100, 200), "x.csv")
         assert main(["index", "x.csv", "--baseline", "ic", "--w0", "3"]) == 0
         fields = capsys.readouterr().out.strip().split(",")
         assert len(fields) == 8
@@ -252,8 +252,8 @@ def test_outputs_do_not_depend_on_cpu_dispatch(tmp_path):
     targets = _enabled_dispatch_targets()
     if not targets:
         pytest.skip("this CPU enables no NumPy dispatch target")
-    frames = simulate_residual_stream(
-        make_sparse_anomaly(12, 60) * 40.0, NoiseSpec(20.0, 3), 20, 10
+    frames = residual_stream(
+        fixed_anomaly("sparse", 12, 60) * 40.0, NoiseSpec(20.0, 3), 20, 10
     )
     (tmp_path / "frames").mkdir()
     for k, frame in enumerate(frames, start=1):
@@ -279,8 +279,8 @@ def test_outputs_do_not_depend_on_cpu_dispatch(tmp_path):
 class TestMonitor:
     def write_stream(self, n_ic=25, n_ooc=15, shape=(20, 30), sigma=0.5, seed=5):
         mu = np.full(shape, 100.0)
-        anomaly = 10.0 * make_sparse_anomaly(*shape) / 5.0
-        frames = simulate_residual_stream(anomaly, NoiseSpec(sigma, seed), n_ic, n_ooc)
+        anomaly = 10.0 * fixed_anomaly("sparse", *shape) / 5.0
+        frames = residual_stream(anomaly, NoiseSpec(sigma, seed), n_ic, n_ooc)
         os.mkdir("frames")
         for k in range(len(frames)):
             write_matrix_csv(frames[k] + mu, f"frames/f_{k + 1:03d}.csv")
@@ -301,13 +301,15 @@ class TestMonitor:
         gs = {t: float(line.split(",")[3]) for t, line in zip(ts, lines[1:])}
         # change sits at position 25 (1-based 26): before it noise, after it the band
         assert all(gs[t] > 0.9 for t in range(21, 26))
-        band_h = hoyer_index(10.0 * make_sparse_anomaly(20, 30) / 5.0)
+        band_h = hoyer_index(10.0 * fixed_anomaly("sparse", 20, 30) / 5.0)
         assert all(abs(gs[t] - band_h) < 0.1 for t in range(27, 41))
 
     @pytest.mark.parametrize("mode", MOMENT_MODES)
     def test_series_is_the_library_series(self, in_tmp, mode):
         # The command and the library share one reading path: the same
-        # frames, window and range give the same bytes either way.
+        # frames, window and range give the same bytes either way, from a
+        # held list or, as the README streams them, from one iterator that
+        # the fit and the series draw from in turn.
         self.write_stream()
         code = main(
             ["monitor", "--frames", "frames", "--w0", "20", "--tau-from", "23",
@@ -318,7 +320,12 @@ class TestMonitor:
         baseline = fit_baseline(frames[:20])
         readings = monitor_series(frames, baseline, range(22, 37), mode=mode, t_offset=1)
         write_series_csv(readings, "lib.csv")
-        assert open("cli.csv", "rb").read() == open("lib.csv", "rb").read()
+        frames = iter_frames(list_frame_dir("frames"))
+        baseline = fit_baseline(frames, 20)
+        readings = monitor_series(frames, baseline, range(2, 17), mode=mode, t_offset=21)
+        write_series_csv(readings, "iter.csv")
+        cli = open("cli.csv", "rb").read()
+        assert cli == open("lib.csv", "rb").read() == open("iter.csv", "rb").read()
 
     def test_tau_from_must_exceed_w0(self, in_tmp, capsys):
         self.write_stream(n_ic=6, n_ooc=2)

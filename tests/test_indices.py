@@ -18,20 +18,23 @@ from hoyerstream import (
     corrected_hoyer,
     estimate_moments,
     hoyer_index,
-    make_dense_anomaly,
-    make_sparse_anomaly,
     noise_bias,
     sample_noise,
 )
 from hoyerstream.indices import (
     hoyer_from_totals,
     moment_floor,
-    moments_from_stats,
     readings_from_totals,
 )
 from hoyerstream.simulate import _shifted_totals
 
-from conftest import bias_oracle, hoyer_oracle, pure_noise_index_cdf, totals_reading_oracle
+from conftest import (
+    bias_oracle,
+    fixed_anomaly,
+    hoyer_oracle,
+    pure_noise_index_cdf,
+    totals_reading_oracle,
+)
 
 # Frozen from the brute-force fsum oracle (see conftest.hoyer_oracle).
 DENSE_H = 0.19962785637227268
@@ -77,12 +80,12 @@ class TestHoyer:
         assert hoyer_index(np.zeros((4, 4))) == 1.0
 
     def test_dense_pattern_matches_oracle(self):
-        a = make_dense_anomaly(100, 200)
+        a = fixed_anomaly("dense", 100, 200)
         assert hoyer_oracle(a) == pytest.approx(DENSE_H, abs=1e-15)
         assert hoyer_index(a) == pytest.approx(DENSE_H, abs=1e-9)
 
     def test_sparse_pattern_matches_oracle(self):
-        a = make_sparse_anomaly(100, 200)
+        a = fixed_anomaly("sparse", 100, 200)
         assert hoyer_oracle(a) == pytest.approx(SPARSE_H, abs=1e-15)
         assert hoyer_index(a) == pytest.approx(SPARSE_H, abs=1e-9)
 
@@ -250,7 +253,7 @@ class TestCorrectedHoyer:
 
 class TestEstimateMoments:
     def test_dense_noise_free(self):
-        a = make_dense_anomaly(100, 200)
+        a = fixed_anomaly("dense", 100, 200)
         for mode in ("literal", "debias"):
             m = estimate_moments(a, 0.0, mode)
             assert m.a_bar == 1.5
@@ -270,7 +273,7 @@ class TestEstimateMoments:
 
     def test_debias_recovers_mean_square(self):
         # MC oracle: mean of ||A + e||_F^2 / n - sigma^2 over 100 draws.
-        a = make_dense_anomaly(100, 200)
+        a = fixed_anomaly("dense", 100, 200)
         sigma = 6.0
         estimates = []
         for rep in range(100):
@@ -279,7 +282,7 @@ class TestEstimateMoments:
         assert np.mean(estimates) == pytest.approx(3.5, abs=0.2)
 
     def test_literal_keeps_noise_mass(self):
-        a = make_dense_anomaly(100, 200)
+        a = fixed_anomaly("dense", 100, 200)
         sigma = 6.0
         e = sample_noise(100, 200, NoiseSpec(sigma, 5), 0)
         lit = estimate_moments(a + e, sigma * sigma, "literal")
@@ -308,8 +311,9 @@ def _bits(x) -> str:
 
 def _scalar_reading(s, ss, n, sigma2, mode, h_raw=None):
     """(h_raw, a_bar, a2_bar, bias, g_unclamped, g) of one reading through
-    the public scalar formulas; raises as they do."""
-    moments = moments_from_stats(s, ss, n, sigma2, mode)
+    the public scalar types and formulas, on the oracle's moments; raises
+    as ``SignalMoments`` does."""
+    moments = SignalMoments(*totals_reading_oracle(s, ss, n, sigma2, mode)[1:3], sigma2)
     bias = noise_bias(moments)
     if h_raw is None:
         h_raw = hoyer_from_totals(s, ss, n)
@@ -419,7 +423,7 @@ class TestReadingsFromTotals:
         with pytest.raises(ValueError) as info:
             readings_from_totals(s, ss, 100, 1.0, "literal")
         with pytest.raises(ValueError) as scalar:
-            moments_from_stats(20.0, 2.0, 100, 1.0, "literal")
+            SignalMoments(20.0 / 100, 2.0 / 100, 1.0)
         assert str(info.value) == str(scalar.value)
         assert str(info.value) == (
             "inconsistent moments: a_bar**2 = 0.04000000000000001 exceeds a2_bar = 0.02"
@@ -447,11 +451,11 @@ class TestErrorState:
         returning = [
             lambda: hoyer_from_totals(np.array([1e300, 2.0]), np.array([1e-300, 4.0]), 4),
             lambda: noise_bias(SignalMoments(1.0, 1e308, 1e308)),
-            lambda: moments_from_stats(1.0, FINFO.max, 1, 0.0, "literal"),
+            lambda: estimate_moments(np.array([[math.sqrt(FINFO.max)]]), 0.0, "literal"),
             lambda: readings_from_totals(np.array([1.0]), np.array([1.5e308]), 2, 1.5e308, "literal"),
         ]
         raising = [
-            lambda: moments_from_stats(np.float64(1e200), np.float64(1e300), 4, 1.0),
+            lambda: estimate_moments(np.full((2, 2), 1e308), 1.0),
             lambda: readings_from_totals(np.array([1e300]), np.array([1e-300]), 4, 1.0),
         ]
         state = np.geterr()

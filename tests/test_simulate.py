@@ -17,26 +17,21 @@ from hoyerstream import (
     MixedSignWarning,
     NoiseSpec,
     fit_baseline,
-    corrected_hoyer,
     hoyer_index,
-    make_dense_anomaly,
-    make_scaled_anomaly,
-    make_sparse_anomaly,
     run_consistency,
     run_robustness,
     sample_noise,
-    simulate_residual_stream,
     verify_bias_theorem,
     verify_noise_domination,
     verify_noise_sparsity_decay,
 )
 from hoyerstream.errors import DimensionError
-from hoyerstream.indices import hoyer_from_totals, moments_from_stats
 from hoyerstream.kernels import matrix_stats
 from hoyerstream.simulate import (
     CELL_BASELINE_TAG,
     CELL_STATS_TAG,
     ROBUSTNESS_TAG,
+    STREAM_FRAME_TAG,
     _baseline_draws,
     _cell_band,
     _fixed_row,
@@ -50,12 +45,20 @@ from hoyerstream.simulate import (
     subseed,
 )
 
-from conftest import hoyer_oracle, welford_oracle, bias_oracle
+from conftest import (
+    bias_oracle,
+    fixed_anomaly,
+    hoyer_oracle,
+    residual_stream,
+    scaled_anomaly,
+    totals_reading_oracle,
+    welford_oracle,
+)
 
 
 class TestAnomalyFactories:
     def test_dense_entries(self):
-        a = make_dense_anomaly(100, 200)
+        a = fixed_anomaly("dense", 100, 200)
         assert a.shape == (100, 200)
         assert a[0, 50] == 1.0  # 1-based (i=1, j=51)
         assert np.all(a[:, 0] == 0.0)  # j=1 column
@@ -63,14 +66,14 @@ class TestAnomalyFactories:
         assert set(np.unique(a)) == {0.0, 1.0, 2.0, 3.0}
 
     def test_sparse_entries(self):
-        a = make_sparse_anomaly(100, 200)
+        a = fixed_anomaly("sparse", 100, 200)
         assert a[0, 54] == 5.0  # 1-based j=55
         assert a[0, 59] == 0.0  # 1-based j=60 excluded
         assert a[0, 49] == 5.0  # 1-based j=50 included
         assert np.count_nonzero(a) == 10 * 100
 
     def test_scaled_dense_c10(self):
-        a = make_scaled_anomaly("dense", 10)
+        a = scaled_anomaly("dense", 10)
         assert a.shape == (10, 20)
         assert a[0, 19] == 3.0  # 1-based j=20
         assert set(np.unique(a)) == {0.0, 1.0, 2.0, 3.0}
@@ -78,20 +81,20 @@ class TestAnomalyFactories:
         assert counts == [5, 5, 5, 5]
 
     def test_scaled_sparse_c10(self):
-        a = make_scaled_anomaly("sparse", 10)
+        a = scaled_anomaly("sparse", 10)
         nonzero_cols = np.flatnonzero(a[0]) + 1  # 1-based
         assert list(nonzero_cols) == [5]
         assert a[0, 4] == 5.0
 
     def test_scaled_c100_matches_fixed_patterns(self):
-        assert np.array_equal(make_scaled_anomaly("dense", 100), make_dense_anomaly(100, 200))
-        assert np.array_equal(make_scaled_anomaly("sparse", 100), make_sparse_anomaly(100, 200))
-        a = make_scaled_anomaly("sparse", 100)
+        assert np.array_equal(scaled_anomaly("dense", 100), fixed_anomaly("dense", 100, 200))
+        assert np.array_equal(scaled_anomaly("sparse", 100), fixed_anomaly("sparse", 100, 200))
+        a = scaled_anomaly("sparse", 100)
         assert hoyer_index(a) == pytest.approx(hoyer_oracle(a), abs=1e-12)
 
     @pytest.mark.parametrize(
         "row, p1",
-        [(_fixed_row("dense", 100, 200), 100), (_fixed_row("sparse", 100, 200), 100)]
+        [(_fixed_row("dense", 200), 100), (_fixed_row("sparse", 200), 100)]
         + [(_scaled_row(kind, c), c) for kind in ("dense", "sparse") for c in (10, 30, 100)],
     )
     def test_row_pattern_is_the_matrix_pattern(self, row, p1):
@@ -121,14 +124,14 @@ class TestAnomalyFactories:
             return np.where((j >= p2 // 4) & (j < p2 // 4 + c // 10), 5.0, 0.0)
 
         for p2 in (1, 49, 50, 59, 60, 61, 200, 1001):
-            row = _fixed_row(kind, 3, p2)
+            row = _fixed_row(kind, p2)
             assert row.dtype == np.float64 and row.tobytes() == old_fixed(p2).tobytes()
         for c in range(10, 2001, 10):
             row = _scaled_row(kind, c)
             assert row.dtype == np.float64 and row.tobytes() == old_scaled(c).tobytes()
 
     def test_row_pattern_of_other_dims(self):
-        a = make_sparse_anomaly(7, 130)
+        a = fixed_anomaly("sparse", 7, 130)
         n, a_bar, alpha, h_true = _row_pattern(a[0], 7)
         assert n == a.size
         assert a_bar == pytest.approx(a.mean(), rel=1e-15)
@@ -140,7 +143,7 @@ class TestAnomalyFactories:
     def test_invalid_multiplier(self):
         for c in (0, -10, 15, 7):
             with pytest.raises(ValueError):
-                make_scaled_anomaly("dense", c)
+                _scaled_row("dense", c)
 
     def test_anomaly_spec(self):
         # A sweep names its anomaly by kind; any other kind is refused
@@ -195,9 +198,9 @@ class TestKeyDerivation:
     @pytest.mark.parametrize("seed", [0, 7, 12345, 2**40 + 3, 2**64 - 1])
     def test_cell_positions_and_public_derivations(self, seed):
         spec = NoiseSpec(1.0, seed)
-        frames = simulate_residual_stream(np.zeros((2, 3)), spec, n_ic=200, n_ooc=200)
-        for k in (0, 1, 255, 256, 399):
-            assert np.array_equal(frames[k], _reference_noise((2, 3), spec, (0, k))), k
+        for k in (0, 1, 13, 250, 255, 256, 399):
+            expected = _reference_noise((2, 3), spec, (STREAM_FRAME_TAG, k))
+            assert np.array_equal(stream_frame_noise(2, 3, spec, k), expected), k
         ss = np.random.SeedSequence(seed, spawn_key=(1, 2))
         assert subseed(seed, 1, 2) == int(ss.generate_state(1, np.uint64)[0])
         reference = np.random.Generator(np.random.Philox(ss))
@@ -457,8 +460,8 @@ class TestShiftedTotals:
 
 class TestResidualStream:
     def test_shape_and_change_point(self):
-        a = make_sparse_anomaly(10, 20)
-        frames = simulate_residual_stream(a, NoiseSpec(1e-9, 3), n_ic=4, n_ooc=3)
+        a = fixed_anomaly("sparse", 10, 20)
+        frames = residual_stream(a, NoiseSpec(1e-9, 3), n_ic=4, n_ooc=3)
         assert frames.shape == (7, 10, 20)
         # vanishing noise: out-of-control frames match the anomaly
         for k in range(4, 7):
@@ -466,26 +469,9 @@ class TestResidualStream:
         for k in range(4):
             assert np.allclose(frames[k], 0.0, atol=1e-6)
 
-    def test_full_stream_shape_and_frame_replay(self):
-        a = make_dense_anomaly(100, 200)
-        spec = NoiseSpec(2.0, 101)
-        frames = simulate_residual_stream(a, spec, n_ic=200, n_ooc=200)
-        assert frames.shape == (400, 100, 200)
-        # replaying the per-position noise reproduces each frame exactly
-        assert np.array_equal(frames[13], _reference_noise((100, 200), spec, (0, 13)))
-        assert np.array_equal(frames[250], _reference_noise((100, 200), spec, (0, 250)) + a)
-        assert np.array_equal(stream_frame_noise(100, 200, spec, 13), frames[13])
-
     def test_in_control_frames_read_sparse(self):
         for seed in range(20):
-            frames = simulate_residual_stream(
-                np.ones((100, 200)), NoiseSpec(1.0, seed), n_ic=1, n_ooc=1
-            )
-            assert hoyer_index(frames[0]) >= 0.9
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            simulate_residual_stream(np.ones((2, 2)), NoiseSpec(1.0, 0), 0, 5)
+            assert hoyer_index(stream_frame_noise(100, 200, NoiseSpec(1.0, seed), 0)) >= 0.9
 
 
 class TestErrorBand:
@@ -548,11 +534,11 @@ class TestSweepDrivers:
         # freedom; the residual mean's b_bar and beta from two normals and
         # a chi-square C0 with n - 2 degrees of freedom; then each shifted
         # residual's sum and sum of squares from z1, z2 and a chi-square
-        # with n - 2 degrees of freedom; each read by the one index and
-        # moment formulas and the correction.
+        # with n - 2 degrees of freedom; each read by the plain-float
+        # reading oracle.
         sigma, master, w0, n_ooc = 1.5, 77, 50, 40
         table = run_robustness([sigma], "dense", master, w0=w0, n_ooc=n_ooc)
-        a = make_dense_anomaly(100, 200)
+        a = fixed_anomaly("dense", 100, 200)
         n, h_true = a.size, hoyer_index(a)
         a_bar = matrix_stats(a)[0] / n
         alpha = math.sqrt(matrix_stats(a - a_bar)[1])
@@ -580,8 +566,8 @@ class TestSweepDrivers:
         ss = u**2 + ((beta + z2) ** 2 + sigma * sigma * chisquare(rng, n - 2, n_ooc))
         errs = []
         for s_k, ss_k in zip(s.tolist(), ss.tolist()):
-            moments = moments_from_stats(s_k, ss_k, n, sigma2_hat)
-            errs.append(abs(corrected_hoyer(hoyer_from_totals(s_k, ss_k, n), moments) - h_true))
+            g = totals_reading_oracle(s_k, ss_k, n, sigma2_hat, "debias")[-1]
+            errs.append(abs(g - h_true))
         manual = error_band(errs)
         assert table[sigma] == manual
 
@@ -632,7 +618,7 @@ class TestSweepDrivers:
     def test_replicate_aggregation_and_detail(self):
         # Each replicate is one cell at its own documented seed; the sweep
         # reports the per-field median of their bands.
-        pattern = _row_pattern(make_dense_anomaly(100, 200)[0], 100)
+        pattern = _row_pattern(fixed_anomaly("dense", 100, 200)[0], 100)
         bands = [
             _cell_band(
                 pattern, NoiseSpec(2.0, subseed(3, ROBUSTNESS_TAG, float_key(2.0), rep)),
@@ -722,7 +708,6 @@ class TestSweepDrivers:
         # So is a float dim (a 100.5-row anomaly used to run its cells).
         for call in (
             lambda: run_robustness([1.0], "dense", 0, dims=(100.5, 200), w0=20, n_ooc=20),
-            lambda: make_dense_anomaly(4.5, 10),
             lambda: verify_bias_theorem(1.0, 1.0, dims=(40.5, 40)),
         ):
             with pytest.raises(ValueError, match="dims must be an integer"):
@@ -759,7 +744,7 @@ class TestVerifiers:
 
     def test_bias_theorem_patterned_anomaly(self):
         # The four-band pattern rendered at 400 x 800 keeps moments (1.5, 3.5).
-        a = make_scaled_anomaly("dense", 400)
+        a = scaled_anomaly("dense", 400)
         assert a.shape == (400, 800)
         report = verify_bias_theorem(a, 2.0, reps=50, seed=2)
         assert report["predicted_bias"] == pytest.approx(bias_oracle(1.5, 3.5, 4.0), rel=1e-12)

@@ -18,22 +18,18 @@ from hoyerstream import (
     corrected_reading,
     fit_baseline,
     hoyer_index,
-    make_dense_anomaly,
-    make_scaled_anomaly,
-    make_sparse_anomaly,
     monitor_series,
     residual,
     run_robustness,
     sample_noise,
-    simulate_residual_stream,
     verify_bias_theorem,
     verify_noise_domination,
     verify_noise_sparsity_decay,
     windowed_reading,
 )
-from hoyerstream.simulate import near_square_dims
+from hoyerstream.simulate import _scaled_row, near_square_dims, stream_frame_noise
 
-from conftest import pooled_variance_oracle
+from conftest import fixed_anomaly, pooled_variance_oracle, residual_stream
 
 SPARSE_H = 0.7819222273431695
 U = 2.0**-53
@@ -96,10 +92,9 @@ class TestFitBaseline:
         sigma = 3.0
         estimates = []
         for seed in range(20):
-            frames = simulate_residual_stream(
-                np.ones((130, 320)), NoiseSpec(sigma, seed), n_ic=200, n_ooc=1
-            )[:200]
-            estimates.append(fit_baseline(frames + mu).sigma2_hat)
+            spec = NoiseSpec(sigma, seed)
+            frames = (stream_frame_noise(130, 320, spec, k) + mu for k in range(200))
+            estimates.append(fit_baseline(frames).sigma2_hat)
         mean_est = float(np.mean(estimates))
         assert abs(mean_est - 9.0) / 9.0 < 0.02
         # every individual stream is already well inside the band
@@ -242,7 +237,7 @@ class TestResidual:
     def test_recovers_additive_shift_exactly(self):
         mu = np.arange(6.0).reshape(2, 3)
         b = fit_baseline([mu.copy() for _ in range(3)])
-        a = make_dense_anomaly(2, 3)
+        a = fixed_anomaly("dense", 2, 3)
         assert np.array_equal(residual(mu + a, b), a)
 
     def test_reconstruction_bit_exact_in_safe_range(self, rng):
@@ -262,7 +257,7 @@ class TestWindowedIndex:
     """The raw index of a window average: ``windowed_reading``'s ``h_raw``."""
 
     def test_single_noise_free_frame(self):
-        a = make_sparse_anomaly(100, 200)
+        a = fixed_anomaly("sparse", 100, 200)
         mu = np.full((100, 200), 4.0)
         b = fit_baseline([mu.copy() for _ in range(2)])
         assert windowed_reading([mu + a], b).h_raw == hoyer_index(a)
@@ -275,8 +270,7 @@ class TestWindowedIndex:
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     def test_error_decreases_with_window(self, kind):
         # Median absolute error over 5 seeded streams, windows 1/10/100/1000.
-        maker = make_dense_anomaly if kind == "dense" else make_sparse_anomaly
-        a = maker(100, 200)
+        a = fixed_anomaly(kind, 100, 200)
         h_true = hoyer_index(a)
         mu = np.zeros((100, 200))
         b = BaselineModel(mu0_hat=mu, sigma2_hat=4.0, w0=2)
@@ -285,7 +279,7 @@ class TestWindowedIndex:
         for w in widths:
             errs = []
             for seed in range(5):
-                frames = simulate_residual_stream(
+                frames = residual_stream(
                     a, NoiseSpec(2.0, 1000 + seed), n_ic=1, n_ooc=w
                 )[1:]
                 errs.append(abs(windowed_reading(frames, b).h_raw - h_true))
@@ -300,7 +294,7 @@ class TestWindowedIndex:
 
 class TestCorrectedReading:
     def test_zero_variance_reduces_to_raw_index(self):
-        a = make_sparse_anomaly(100, 200)
+        a = fixed_anomaly("sparse", 100, 200)
         mu = np.full((100, 200), 3.0)
         b = fit_baseline([mu.copy() for _ in range(3)])
         assert b.sigma2_hat == 0.0
@@ -311,7 +305,7 @@ class TestCorrectedReading:
 
     def test_no_anomaly_reads_near_one_in_literal_mode(self):
         mu = np.zeros((100, 200))
-        frames = simulate_residual_stream(
+        frames = residual_stream(
             np.ones((100, 200)), NoiseSpec(4.0, 77), n_ic=60, n_ooc=1
         )[:60]
         b = fit_baseline(frames[:50])
@@ -323,9 +317,9 @@ class TestCorrectedReading:
     def test_dense_high_noise_debias_accuracy(self):
         # One full stream at the highest noise level of the sweep: the mean
         # absolute error of the corrected value stays under 0.08.
-        a = make_dense_anomaly(100, 200)
+        a = fixed_anomaly("dense", 100, 200)
         h_true = hoyer_index(a)
-        frames = simulate_residual_stream(a, NoiseSpec(6.0, 2024), n_ic=200, n_ooc=200)
+        frames = residual_stream(a, NoiseSpec(6.0, 2024), n_ic=200, n_ooc=200)
         b = fit_baseline(frames[:200])
         errs = [
             abs(corrected_reading(frames[200 + i], b).g - h_true) for i in range(200)
@@ -333,7 +327,7 @@ class TestCorrectedReading:
         assert float(np.mean(errs)) < 0.08
 
     def test_reading_fields_consistent(self):
-        a = make_dense_anomaly(50, 60)
+        a = fixed_anomaly("dense", 50, 60)
         b = BaselineModel(np.zeros((50, 60)), 1.0, 10)
         e = sample_noise(50, 60, NoiseSpec(1.0, 8))
         r = corrected_reading(a + e, b, t=17)
@@ -354,7 +348,7 @@ class TestCorrectedReading:
         b = BaselineModel(np.zeros((100, 200)), 1.0, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error", MixedSignWarning)
-            corrected_reading(make_dense_anomaly(100, 200), b)
+            corrected_reading(fixed_anomaly("dense", 100, 200), b)
 
     def test_underflowing_residual_reads_like_hoyer_index(self):
         # One row of 1e-170 in a 4x4 residual: its sum of squares underflows
@@ -395,7 +389,7 @@ class TestCorrectedReading:
 
 class TestWindowedReading:
     def test_effective_variance_is_scaled(self):
-        a = make_dense_anomaly(100, 200)
+        a = fixed_anomaly("dense", 100, 200)
         b = BaselineModel(np.zeros((100, 200)), 9.0, 10)
         frames = [a + sample_noise(100, 200, NoiseSpec(3.0, 50), k) for k in range(9)]
         r = windowed_reading(frames, b)
@@ -405,7 +399,7 @@ class TestWindowedReading:
         assert r.bias < single.bias
 
     def test_matches_manual_average(self):
-        a = make_sparse_anomaly(20, 30)
+        a = fixed_anomaly("sparse", 20, 30)
         b = BaselineModel(np.zeros((20, 30)), 4.0, 10)
         frames = [a + sample_noise(20, 30, NoiseSpec(2.0, 51), k) for k in range(4)]
         r = windowed_reading(frames, b, t=3)
@@ -425,8 +419,8 @@ class TestWindowedReading:
 
 class TestMonitorSeries:
     def make_stream(self, sigma=0.5, n_ic=30, n_ooc=30, seed=11):
-        a = make_dense_anomaly(100, 200)
-        frames = simulate_residual_stream(a, NoiseSpec(sigma, seed), n_ic, n_ooc)
+        a = fixed_anomaly("dense", 100, 200)
+        frames = residual_stream(a, NoiseSpec(sigma, seed), n_ic, n_ooc)
         return a, frames
 
     def test_change_point_profile_literal(self):
@@ -623,12 +617,10 @@ class TestIntegerCounts:
             lambda: windowed_reading(COUNT_FRAMES, COUNT_BASE, w=2.5),
             lambda: BaselineModel(np.zeros((2, 3)), 1.0, 2.5),
             lambda: monitor_series(COUNT_FRAMES, COUNT_BASE, [2.5]),
-            lambda: simulate_residual_stream(np.ones((2, 3)), NoiseSpec(1.0, 0), 2.5, 3),
-            lambda: simulate_residual_stream(np.ones((2, 3)), NoiseSpec(1.0, 0), 3, 2.5),
             lambda: near_square_dims(2.5),
         ],
         ids=["fit_baseline", "windowed_reading", "BaselineModel", "monitor_series",
-             "n_ic", "n_ooc", "near_square_dims"],
+             "near_square_dims"],
     )
     def test_float_count_refused(self, call):
         # Refused with the package's ValueError, not truncated, stored as
@@ -673,14 +665,18 @@ class TestInputRules:
             (lambda: verify_noise_sparsity_decay([(-1, -5)]),
              ValueError, "size must be >= 1, got -1"),
             (lambda: run_robustness([1.0], "dense", 0, dims=(100,)),
-             ValueError, "expected 2"),
+             ValueError, r"dims must be a \(p1, p2\) pair, got \(100,\)"),
+            (lambda: verify_bias_theorem(1.0, 1.0, dims=(3, 4, 5)),
+             ValueError, r"dims must be a \(p1, p2\) pair, got \(3, 4, 5\)"),
+            (lambda: verify_noise_sparsity_decay([(10, 10, 2)]),
+             ValueError, r"size must be a \(p1, p2\) pair, got \(10, 10, 2\)"),
             (lambda: run_robustness([1.0], "dense", 0, w0=20, n_ooc=10, workers=0),
              ValueError, "workers must be >= 1, got 0"),
             (lambda: run_robustness([1.0], "dense", 0, w0=20, n_ooc=10, workers=-3),
              ValueError, "workers must be >= 1, got -3"),
             (lambda: run_robustness([1.0], "dense", 0, w0=20, n_ooc=10, workers=2.5),
              ValueError, "workers must be an integer, got 2.5"),
-            (lambda: make_scaled_anomaly("dense", 10.0),
+            (lambda: _scaled_row("dense", 10.0),
              ValueError, "multiplier c must be an integer, got 10.0"),
             (lambda: hoyer_index([[1.0]]), DimensionError, ONE_ENTRY),
             (lambda: corrected_reading([[1.0]], BaselineModel(np.zeros((1, 1)), 1.0, 2)),
@@ -690,8 +686,8 @@ class TestInputRules:
              ValueError, "sigma must be finite and > 0, got nan"),
         ],
         ids=["float_t", "float_t_offset", "negative_dims", "negative_size", "one_dim",
-             "workers_0", "workers_negative", "workers_float", "float_c",
-             "one_entry_hoyer_index", "one_entry_corrected_reading",
+             "three_dims", "three_size", "workers_0", "workers_negative", "workers_float",
+             "float_c", "one_entry_hoyer_index", "one_entry_corrected_reading",
              "one_entry_run_robustness", "domination_nan_sigma"],
     )
     def test_refused_by_name(self, call, error, match):
