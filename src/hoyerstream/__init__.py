@@ -7,7 +7,7 @@ machinery (baseline fitting, residuals, sliding readings), simulation
 drivers, and file I/O behind the ``hoyerstream`` command.
 """
 
-from .errors import DimensionError, FrameFormatError, MixedSignWarning
+from .errors import DimensionError, FrameFormatError
 from .indices import (
     MOMENT_MODES,
     SignalMoments,
@@ -51,7 +51,6 @@ __all__ = [
     "DimensionError",
     "ErrorBand",
     "FrameFormatError",
-    "MixedSignWarning",
     "MOMENT_MODES",
     "NoiseSpec",
     "SignalMoments",

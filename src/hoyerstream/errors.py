@@ -1,4 +1,4 @@
-"""Shared exception and warning types."""
+"""Shared exception types."""
 
 
 class DimensionError(ValueError):
@@ -7,12 +7,3 @@ class DimensionError(ValueError):
 
 class FrameFormatError(ValueError):
     """An on-disk matrix or frame file is malformed."""
-
-
-class MixedSignWarning(UserWarning):
-    """The residual carries comparable positive and negative mass.
-
-    The index assumes a same-sign shift; when positive and negative mass
-    nearly cancel, the raw index sits near 1 regardless of how dense the
-    shift actually is. The value is reported unchanged.
-    """

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
-from .kernels import matrix_stats
+from .kernels import matrix_totals
 
 MOMENT_MODES = ("literal", "debias")
 
@@ -144,18 +144,23 @@ def hoyer_index(x, *, clip: bool = True) -> float:
     underflows below the smallest normal float, is read scaled to
     max|x| = 1.
 
+    The index is Hoyer's measure, defined for non-negative data. A matrix
+    with comparable positive and negative mass, every in-control residual
+    (pure noise) included, reads near 1 whatever its density: its sum
+    nearly cancels. No warning is raised; the value is returned as it is.
+
     With ``clip=False`` the raw ratio is returned; it can exceed 1 by
     O(1/sqrt(n)) when positive and negative entries nearly cancel, which is
     what diagnostics of pure-noise behaviour need to see.
     """
     m = as_image_matrix(x)
     with _quiet():
-        s, ss, _ = matrix_stats(m)
-    return hoyer_from_matrix_stats(m, s, ss, clip=clip)
+        s, ss = matrix_totals(m)
+    return hoyer_from_matrix_totals(m, s, ss, clip=clip)
 
 
-def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = True) -> float:
-    """Index of the float64 matrix ``m`` from its ``matrix_stats`` sum and
+def hoyer_from_matrix_totals(m: np.ndarray, s: float, ss: float, *, clip: bool = True) -> float:
+    """Index of the float64 matrix ``m`` from its ``matrix_totals`` sum and
     sum of squares, valid over the whole finite range.
 
     Lets callers that already ran the accumulation kernel (for moment
@@ -166,7 +171,7 @@ def hoyer_from_matrix_stats(m: np.ndarray, s: float, ss: float, *, clip: bool = 
     """
     if not math.isfinite(ss) or (ss < _TINY and m.any()):
         m = m / np.abs(m).max()
-        s, ss, _ = matrix_stats(m)
+        s, ss = matrix_totals(m)
     # Past the rescale, ss is 0 or a normal float: |s| / sqrt(ss) <= sqrt(n).
     return float(hoyer_from_totals(s, ss, m.size, clip=clip))
 
@@ -179,7 +184,7 @@ def hoyer_from_totals(s, ss, n: int, *, clip: bool = True) -> np.ndarray:
 
     ``ss`` == 0 reads 1 (the blank-frame convention): the formula divides
     by 1 there, not 0. No rescaling happens here: totals whose ``ss``
-    over- or underflowed go through ``hoyer_from_matrix_stats``, which
+    over- or underflowed go through ``hoyer_from_matrix_totals``, which
     holds the matrix.
     """
     if n < 2:
@@ -302,6 +307,6 @@ def estimate_moments(r, sigma2_hat: float, mode: str = "debias") -> SignalMoment
     """
     m = as_image_matrix(r)
     with _quiet():
-        s, ss, _ = matrix_stats(m)
+        s, ss = matrix_totals(m)
         a_bar, a2_bar = _moments_of_totals(s, ss, m.size, sigma2_hat, mode)
     return _unchecked(SignalMoments, a_bar=float(a_bar), a2_bar=float(a2_bar), sigma2=sigma2_hat)

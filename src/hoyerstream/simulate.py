@@ -72,7 +72,7 @@ from .indices import (
     noise_bias,
     readings_from_totals,
 )
-from .kernels import matrix_stats
+from .kernels import matrix_totals
 
 # Domain tags keep sub-streams of different uses disjoint. Part of the
 # reproducibility contract: cell seed = subseed(master, tag, value_key,
@@ -200,11 +200,11 @@ def _row_pattern(row: np.ndarray, p1: int):
     a sum of squares that ``hoyer_index`` would rescale raises ValueError."""
     p2 = row.size
     n = p1 * p2
-    s, ss, _ = matrix_stats(row)
+    s, ss = matrix_totals(row)
     if not math.isfinite(p1 * ss) or (p1 * ss < _TINY and row.any()):
         raise ValueError(f"anomaly sum of squares {p1 * ss!r} out of the normal float range")
     a_bar = s / p2
-    alpha = math.sqrt(p1 * matrix_stats(row - a_bar)[1])
+    alpha = math.sqrt(p1 * matrix_totals(row - a_bar)[1])
     return n, a_bar, alpha, float(hoyer_from_totals(p1 * s, p1 * ss, n))
 
 
@@ -304,8 +304,7 @@ def _cell_band(pattern, spec: NoiseSpec, w0, n_ooc, mode) -> ErrorBand:
     anomaly's size and w0 are. All the totals are read in one array pass
     of ``readings_from_totals``, as ``monitor_series`` reads its frames'.
     The readings are those of the frames at positions w0 .. w0 + n_ooc - 1
-    of a simulated stream in law, not in bits. A cell reads no positive
-    mass, so it emits no ``MixedSignWarning``.
+    of a simulated stream in law, not in bits.
     """
     n, a_bar, alpha, h_true = pattern
     b_bar, beta, sigma2_hat = _baseline_draws(spec, n, a_bar, alpha, w0)
@@ -403,14 +402,19 @@ def run_robustness(
     ``_cell_band``), so a cell makes no frame and costs the same whatever
     ``dims`` and ``w0`` are. Returns {sigma: ErrorBand}; with
     ``replicates`` > 1 each entry is the per-field median over replicate
-    bands. An empty or repeated grid is refused. One thread runs the sweep
-    unless ``workers`` > 1 asks for a pool, which changes no value.
+    bands. An empty or repeated grid is refused, and so is a ``dims`` too
+    narrow for the pattern (p2 <= 49 sparse, <= 50 dense), which leaves the
+    anomaly blank. One thread runs the sweep unless ``workers`` > 1 asks
+    for a pool, which changes no value.
     """
     sigmas = [float(s) for s in sigmas]
     if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
         raise ValueError(f"sigmas must be finite and > 0, got {sigmas}")
     p1, p2 = _dims(dims, "dims")
-    pattern = _row_pattern(_fixed_row(kind, p2), p1)
+    row = _fixed_row(kind, p2)
+    pattern = _row_pattern(row, p1)  # the two-entry floor comes first
+    if not row.any():
+        raise ValueError(f"the {kind} anomaly is blank at dims ({p1}, {p2}): every entry is 0")
     cells = [(s, pattern, s, float_key(s)) for s in sigmas]
     return _sweep("sigmas", cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
 

@@ -19,19 +19,23 @@ Frames are float or integer matrices. An integer frame (a decoded PGM, say)
 is read as it is, never copied to float64, and gives the bits its float64
 copy would. No function here holds a drawn frame past the next draw, so a
 stream may hand out every frame in one reused buffer.
+
+Each residual is reduced to its two totals, its sum and its sum of
+squares, and nothing else: a reading raises no warning about the
+residual's signs. A residual with comparable positive and negative mass,
+every in-control one included, reads near 1 (see ``hoyer_index``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError, MixedSignWarning
+from .errors import DimensionError
 from .indices import (
     SignalMoments,
     _as_int,
@@ -40,14 +44,10 @@ from .indices import (
     _quiet,
     _unchecked,
     as_image_matrix,
-    hoyer_from_matrix_stats,
+    hoyer_from_matrix_totals,
     readings_from_totals,
 )
-from .kernels import matrix_stats
-
-# Positive/negative mass ratios inside this band mean the residual is not
-# meaningfully one-sided, so the index value is not trustworthy.
-_MIXED_SIGN_BAND = (0.25, 4.0)
+from .kernels import matrix_totals
 
 # Returned by ``next`` on an exhausted stream.
 _END = object()
@@ -133,20 +133,6 @@ def _checked_frames(frames, count: int | None = None):
         raise ValueError(f"requested {count} frames, only {m} available")
 
 
-def _warn_if_mixed_sign(total: float, positive: float):
-    negative = positive - total
-    if positive > 0.0 and negative > 0.0:
-        lo, hi = _MIXED_SIGN_BAND
-        if lo <= positive / negative <= hi:
-            warnings.warn(
-                "residual has comparable positive and negative mass; the "
-                "sparsity index assumes a same-sign shift and may read near 1 "
-                "regardless of density",
-                MixedSignWarning,
-                stacklevel=3,
-            )
-
-
 def fit_baseline(frames, w0: int | None = None) -> BaselineModel:
     """Fit the in-control baseline on the first ``w0`` frames.
 
@@ -218,7 +204,7 @@ def _readings(
     baseline's shape, against ``sigma2_hat``.
 
     Each frame is subtracted into one reused residual buffer and reduced to
-    its totals, and the totals are read in one ``readings_from_totals`` pass
+    its two totals, and the totals are read in one ``readings_from_totals`` pass
     (as a simulation cell reads its own), which checks and clamps every
     reading once. The raw index is read from the residual itself, so it
     stays right when the sum of squares over- or underflowed. NumPy's
@@ -232,9 +218,8 @@ def _readings(
             ts.append(_as_int(t, "label t"))
             np.copyto(r, _baseline_frame(x, baseline))  # exact: the frame as float64
             r -= baseline.mu0_hat
-            s, ss, pos = matrix_stats(r)
-            _warn_if_mixed_sign(s, pos)
-            totals.append((s, ss, hoyer_from_matrix_stats(r, s, ss)))
+            s, ss = matrix_totals(r)
+            totals.append((s, ss, hoyer_from_matrix_totals(r, s, ss)))
     if not ts:
         return []
     s, ss, h_raw = np.array(totals).T

@@ -1,6 +1,7 @@
 """Accumulation kernel checks: fsum agreement, the sign-mass split, exact
 small cases, the error bounds the kernel documents, and bits that do not
-depend on the BLAS thread count."""
+depend on the BLAS thread count. The package reads ``matrix_totals``;
+``matrix_stats`` is its two totals plus the positive mass."""
 
 import math
 import os
@@ -10,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hoyerstream
 from hoyerstream import indices, kernels, simulate, stream
@@ -27,17 +31,18 @@ def test_compiled_backend_present():
     # reductions, so every install has it without a build step. Make any
     # second implementation loud: the kernel these tests exercise must be
     # the one the package runs, with nothing to fall back to.
-    assert kernels.matrix_stats.__module__ == kernels.__name__
+    assert kernels.matrix_totals.__module__ == kernels.__name__
     for module in (indices, stream, simulate):
-        assert module.matrix_stats is kernels.matrix_stats, module.__name__
+        assert module.matrix_totals is kernels.matrix_totals, module.__name__
 
 
 def test_matches_fsum_on_random_data(matrix_stats, rng):
     x = rng.standard_normal((137, 211))
     s, ss, pos = matrix_stats(x)
     flat = [float(v) for v in x.ravel()]
-    assert s == pytest.approx(math.fsum(flat), rel=1e-13, abs=1e-12)
-    assert ss == pytest.approx(math.fsum(v * v for v in flat), rel=1e-13)
+    for s, ss in ((s, ss), kernels.matrix_totals(x)):
+        assert s == pytest.approx(math.fsum(flat), rel=1e-13, abs=1e-12)
+        assert ss == pytest.approx(math.fsum(v * v for v in flat), rel=1e-13)
     assert pos == pytest.approx(math.fsum(v for v in flat if v > 0), rel=1e-13)
 
 
@@ -91,17 +96,18 @@ def test_compensated_sum_survives_cancellation(rng):
         total, absolute, positive, square = _fsum_oracles(x)
         s, ss, pos = kernels.matrix_stats(x)
         pairwise = 4.0 * math.log2(n) * U * absolute
-        assert abs(s - total) <= pairwise + math.ulp(total), (n, s, total)
         assert abs(pos - positive) <= pairwise + U * absolute + math.ulp(positive)
         any_order = n * U / (1.0 - n * U) * square
-        assert abs(ss - square) <= any_order + math.ulp(square), (n, ss, square)
+        for s, ss in ((s, ss), kernels.matrix_totals(x)):
+            assert abs(s - total) <= pairwise + math.ulp(total), (n, s, total)
+            assert abs(ss - square) <= any_order + math.ulp(square), (n, ss, square)
 
 
 _PRINT_TOTALS = (
     "import numpy as np\n"
-    "from hoyerstream.kernels import matrix_stats\n"
+    "from hoyerstream.kernels import matrix_stats, matrix_totals\n"
     "x = np.random.default_rng(0).standard_normal((400, 400))\n"
-    "print(*(float(v).hex() for v in matrix_stats(x)))\n"
+    "print(*(float(v).hex() for v in matrix_totals(x) + matrix_stats(x)))\n"
 )
 
 
@@ -119,3 +125,14 @@ def test_totals_do_not_depend_on_blas_threads():
         )
         outputs.append(done.stdout)
     assert outputs[0] and outputs[0] == outputs[1], outputs
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 40)),
+              elements=st.floats(-1e150, 1e150)))
+def test_totals_are_the_first_two_stats(x):
+    # The package's two totals are the benchmark kernel's first two, bit
+    # for bit: the same two reductions, so dropping the positive mass moves
+    # no reading.
+    stats = kernels.matrix_stats(x)
+    assert [v.hex() for v in kernels.matrix_totals(x)] == [v.hex() for v in stats[:2]]

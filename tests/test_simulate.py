@@ -4,7 +4,6 @@ import collections
 import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from hypothesis import strategies as st
 import hoyerstream.simulate as simulate
 from hoyerstream import (
     ErrorBand,
-    MixedSignWarning,
     NoiseSpec,
     fit_baseline,
     hoyer_index,
@@ -26,7 +24,7 @@ from hoyerstream import (
     verify_noise_sparsity_decay,
 )
 from hoyerstream.errors import DimensionError
-from hoyerstream.kernels import matrix_stats
+from hoyerstream.kernels import matrix_totals
 from hoyerstream.simulate import (
     CELL_BASELINE_TAG,
     CELL_STATS_TAG,
@@ -38,6 +36,7 @@ from hoyerstream.simulate import (
     _row_pattern,
     _scaled_row,
     _shifted_totals,
+    _sweep,
     error_band,
     float_key,
     near_square_dims,
@@ -103,8 +102,8 @@ class TestAnomalyFactories:
         # matrix's own bits.
         a = np.ascontiguousarray(np.broadcast_to(row, (p1, row.size)))
         n = a.size
-        a_bar = matrix_stats(a)[0] / n
-        alpha = math.sqrt(matrix_stats(a - a_bar)[1])
+        a_bar = matrix_totals(a)[0] / n
+        alpha = math.sqrt(matrix_totals(a - a_bar)[1])
         assert _row_pattern(row, p1) == (n, a_bar, alpha, hoyer_index(a))
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -418,10 +417,10 @@ class TestShiftedTotals:
         # noise frames.
         rng = np.random.Generator(np.random.Philox(2025))
         b = a - sigma / math.sqrt(w0) * rng.standard_normal(a.shape)
-        b_bar = matrix_stats(b)[0] / n
-        drawn = _shifted_totals(spec, n, b_bar, math.sqrt(matrix_stats(b - b_bar)[1]), count)
+        b_bar = matrix_totals(b)[0] / n
+        drawn = _shifted_totals(spec, n, b_bar, math.sqrt(matrix_totals(b - b_bar)[1]), count)
         noise = sigma * rng.standard_normal((count,) + a.shape)
-        real = np.array([matrix_stats(b + e)[:2] for e in noise]).T
+        real = np.array([matrix_totals(b + e) for e in noise]).T
 
         values = [float(v) for v in b.ravel()]
         big_s, big_b = math.fsum(values), math.fsum(v * v for v in values)
@@ -430,7 +429,7 @@ class TestShiftedTotals:
         k2, k4 = 2 * (n + 2 * lam), 48 * (n + 4 * lam)
         ss_sd = sigma**4 * math.sqrt(k4 + 2 * k2**2)
         cov_sd = sigma**2 * math.sqrt(n * (4 * big_s**2 / n + 4 * big_b + (2 * n + 8) * sigma**2))
-        for name, (s, ss) in (("drawn", drawn), ("matrix_stats", real)):
+        for name, (s, ss) in (("drawn", drawn), ("matrix_totals", real)):
             checks = {
                 "s mean": (s, big_s, sigma * math.sqrt(n)),
                 "s variance": ((s - big_s) ** 2, n * sigma**2, math.sqrt(2) * n * sigma**2),
@@ -453,9 +452,10 @@ class TestShiftedTotals:
             with pytest.raises(ValueError, match="normal float range"):
                 _shifted_totals(NoiseSpec(sigma, 1), 6, b_bar, 0.0, 4)
         # Such a noise level fails the cell's baseline first, as a bad
-        # input, not as an arithmetic error.
+        # input, not as an arithmetic error. (One row of 51 columns is the
+        # smallest frame whose dense pattern is not blank.)
         with pytest.raises(ValueError, match="sigma2_hat must be finite"):
-            run_robustness([1e200], "dense", 0, w0=2, n_ooc=2, dims=(2, 3))
+            run_robustness([1e200], "dense", 0, w0=2, n_ooc=2, dims=(1, 51))
 
 
 class TestResidualStream:
@@ -540,8 +540,8 @@ class TestSweepDrivers:
         table = run_robustness([sigma], "dense", master, w0=w0, n_ooc=n_ooc)
         a = fixed_anomaly("dense", 100, 200)
         n, h_true = a.size, hoyer_index(a)
-        a_bar = matrix_stats(a)[0] / n
-        alpha = math.sqrt(matrix_stats(a - a_bar)[1])
+        a_bar = matrix_totals(a)[0] / n
+        alpha = math.sqrt(matrix_totals(a - a_bar)[1])
         spec = NoiseSpec(sigma, subseed(master, ROBUSTNESS_TAG, float_key(sigma), 0))
 
         def generator(*key):
@@ -578,7 +578,9 @@ class TestSweepDrivers:
         # b_bar and beta; and a (2, n_ooc) block of normals and n_ooc
         # chi-squares with n - 2 for the residuals' totals. The frame size
         # and w0 enter only as degrees of freedom, and n_ooc only as a
-        # count; the chi-squares with n - 2 are skipped when n = 2.
+        # count; the chi-squares with n - 2 are skipped when n = 2. The
+        # sweep runs on a staircase row, since ``run_robustness`` refuses
+        # dims too narrow for its own pattern.
         cells = {}
         original = simulate._rng
 
@@ -590,7 +592,9 @@ class TestSweepDrivers:
                  ((1000, 2000), 20, 10), ((1, 2), 20, 10)]
         for dims, w0, n_ooc in cases:
             cells.clear()
-            run_robustness([1.0, 2.0], "dense", 5, w0=w0, n_ooc=n_ooc, dims=dims)
+            pattern = _row_pattern(np.arange(dims[1], dtype=np.float64), dims[0])
+            grid = [(s, pattern, s, float_key(s)) for s in (1.0, 2.0)]
+            _sweep("sigmas", grid, ROBUSTNESS_TAG, 5, w0, n_ooc, "debias", 1, 1)
             n = dims[0] * dims[1]
             chisquares = [(n * (w0 - 1), None)]
             if n > 2:
@@ -598,13 +602,11 @@ class TestSweepDrivers:
             cell = ([(2, 1), (2, n_ooc)], chisquares)
             assert list(cells.values()) == [cell, cell], (dims, w0, n_ooc)
 
-    def test_cells_emit_no_mixed_sign_warning(self):
-        # A cell reads only each residual's sum and sum of squares, so even
-        # fully mixed-sign residuals (sigma 3 on the dense pattern) warn
-        # of nothing.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MixedSignWarning)
-            run_robustness([3.0], "dense", 5, w0=20, n_ooc=10)
+    def test_narrowest_nonblank_patterns_run(self):
+        # The first nonzero column is 50 (sparse) or 51 (dense): these widths
+        # run, and one column fewer is refused (``TestInputRules``).
+        for kind, p2 in (("sparse", 50), ("dense", 51)):
+            assert run_robustness([1.0], kind, 0, dims=(10, p2), w0=20, n_ooc=10)
 
     def test_cells_keyed_by_value_not_position(self):
         full = run_robustness([0.5, 1.0], "sparse", 5, w0=30, n_ooc=20)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hoyerstream import (
     BaselineModel,
     DimensionError,
-    MixedSignWarning,
     NoiseSpec,
     corrected_reading,
     fit_baseline,
@@ -335,20 +334,6 @@ class TestCorrectedReading:
         assert r.g_unclamped == r.h_raw - r.bias
         assert r.g == min(max(r.g_unclamped, 0.0), 1.0)
         assert 0.0 <= r.g <= 1.0
-
-    def test_mixed_sign_residual_warns(self):
-        b = BaselineModel(np.zeros((40, 40)), 1.0, 10)
-        e = sample_noise(40, 40, NoiseSpec(1.0, 5))
-        with pytest.warns(MixedSignWarning):
-            corrected_reading(e, b)
-
-    def test_one_sided_residual_does_not_warn(self, recwarn):
-        import warnings
-
-        b = BaselineModel(np.zeros((100, 200)), 1.0, 10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", MixedSignWarning)
-            corrected_reading(fixed_anomaly("dense", 100, 200), b)
 
     def test_underflowing_residual_reads_like_hoyer_index(self):
         # One row of 1e-170 in a 4x4 residual: its sum of squares underflows
@@ -682,13 +667,18 @@ class TestInputRules:
             (lambda: corrected_reading([[1.0]], BaselineModel(np.zeros((1, 1)), 1.0, 2)),
              DimensionError, ONE_ENTRY),
             (lambda: run_robustness([1.0], "dense", 0, dims=(1, 1)), DimensionError, ONE_ENTRY),
+            (lambda: run_robustness([1.0], "sparse", 0, dims=(10, 40), w0=20, n_ooc=10),
+             ValueError, r"the sparse anomaly is blank at dims \(10, 40\)"),
+            (lambda: run_robustness([1.0], "dense", 0, dims=(10, 50), w0=20, n_ooc=10),
+             ValueError, r"the dense anomaly is blank at dims \(10, 50\)"),
             (lambda: verify_noise_domination(sigma=float("nan")),
              ValueError, "sigma must be finite and > 0, got nan"),
         ],
         ids=["float_t", "float_t_offset", "negative_dims", "negative_size", "one_dim",
              "three_dims", "three_size", "workers_0", "workers_negative", "workers_float",
              "float_c", "one_entry_hoyer_index", "one_entry_corrected_reading",
-             "one_entry_run_robustness", "domination_nan_sigma"],
+             "one_entry_run_robustness", "blank_sparse_anomaly", "blank_dense_anomaly",
+             "domination_nan_sigma"],
     )
     def test_refused_by_name(self, call, error, match):
         with pytest.raises(error, match=match):
