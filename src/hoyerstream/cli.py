@@ -33,7 +33,6 @@ from .stream import corrected_reading, fit_baseline, monitor_series
 
 DEFAULT_SIGMAS = [0.5 * k for k in range(1, 13)]  # 0.5 .. 6.0
 DEFAULT_CS = list(range(10, 101, 10))  # 10 .. 100
-SIM_DIMS = (100, 200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,8 +117,16 @@ def _band_cells(table, x_name: str) -> list[dict]:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import run_consistency, run_robustness
+    from .simulate import ROBUSTNESS_DIMS, run_consistency, run_robustness
 
+    csv_out = args.csv_out
+    if csv_out is None:
+        csv_out = os.path.splitext(args.out)[0] + ".csv"
+    if os.path.realpath(csv_out) == os.path.realpath(args.out):
+        raise ValueError(
+            f"the plot CSV {csv_out} would overwrite the --out report: "
+            "give --csv-out another path"
+        )
     config = {
         "command": "simulate",
         "experiment": args.experiment,
@@ -136,11 +143,10 @@ def cmd_simulate(args) -> int:
     if args.experiment == "robustness":
         sigmas = args.sigmas if args.sigmas is not None else DEFAULT_SIGMAS
         config["sigmas"] = sigmas
-        config["dims"] = list(SIM_DIMS)
+        config["dims"] = list(ROBUSTNESS_DIMS)
         table = run_robustness(
             sigmas, args.kind, args.seed, w0=args.w0, n_ooc=args.n_ooc,
-            dims=SIM_DIMS, mode=args.mode, replicates=args.replicates,
-            workers=args.workers,
+            mode=args.mode, replicates=args.replicates, workers=args.workers,
         )
         x_name = "sigma"
     else:
@@ -155,10 +161,6 @@ def cmd_simulate(args) -> int:
         x_name = "c"
     cells = _band_cells(table, x_name)
     write_report_json({"config": config, "cells": cells}, args.out)
-    csv_out = args.csv_out
-    if csv_out is None:
-        root, _ = os.path.splitext(args.out)
-        csv_out = root + ".csv"
     with open(csv_out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,m_eps,lo,hi\n")
         for cell in cells:
@@ -229,7 +231,7 @@ def cmd_verify(args) -> int:
     seed = args.seed
     if args.check == "theorem1":
         reps = args.reps if args.reps is not None else 50
-        report = verify_bias_theorem(1.0, 1.0, dims=(400, 400), reps=reps, seed=seed)
+        report = verify_bias_theorem(1.0, 1.0, reps=reps, seed=seed)
         report["tolerance"] = 0.01
         passed = report["abs_diff"] < report["tolerance"]
         print(f"empirical mean gap: {report['empirical_mean_gap']:.6f}")
@@ -237,7 +239,7 @@ def cmd_verify(args) -> int:
         print(f"abs diff:           {report['abs_diff']:.6f} (tolerance {report['tolerance']})")
     elif args.check == "corollary1":
         reps = args.reps if args.reps is not None else 20
-        report = verify_noise_domination(sigma=100.0, reps=reps, seed=seed)
+        report = verify_noise_domination(reps=reps, seed=seed)
         report["threshold"] = 0.95
         passed = report["min_index"] > report["threshold"]
         print(f"predicted index under dominant noise: {report['predicted']:.6f}")
@@ -245,9 +247,7 @@ def cmd_verify(args) -> int:
               f"(threshold {report['threshold']})")
     else:
         reps = args.reps if args.reps is not None else 50
-        rows = verify_noise_sparsity_decay(
-            [100, 1000, 10_000, 100_000], sigma=1.0, reps=reps, seed=seed
-        )
+        rows = verify_noise_sparsity_decay([100, 1000, 10_000, 100_000], reps=reps, seed=seed)
         scaled = [abs(r["median_scaled"]) for r in rows]
         ratio = max(scaled) / min(scaled)
         report = {"rows": rows, "spread": ratio, "bound": 3.0}

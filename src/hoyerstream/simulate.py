@@ -52,6 +52,12 @@ anomalies from one ``_shifted_totals`` draw (``_law_indices``).
 ``sample_noise`` and ``stream_frame_noise`` replay noise frames: the frame
 at position k of a simulated stream has the noise ``stream_frame_noise``
 gives for k, plus the anomaly from the change on.
+
+Each experiment's frame shape and noise level are decided here, once: the
+robustness sweep runs at ``ROBUSTNESS_DIMS`` (100 x 200), the bias check's
+scalar anomaly is a constant 400 x 400 matrix, noise domination runs at
+sigma = 100, and the noise decay at sigma = 1, which loses nothing, since
+the index is scale-invariant.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ CELL_BASELINE_TAG = 6
 CELL_STATS_TAG = 7
 
 _MAX_SEED = 2**64
+
+ROBUSTNESS_DIMS = (100, 200)
 
 
 def _check_seed(seed) -> None:
@@ -128,13 +136,6 @@ class ErrorBand:
         return self.hi - self.lo
 
 
-def _dims(pair, what: str) -> tuple[int, int]:
-    """``pair`` as a (p1, p2) pair of integers of at least 1."""
-    if len(pair) != 2:
-        raise ValueError(f"{what} must be a (p1, p2) pair, got {pair!r}")
-    return _count(pair[0], what, 1), _count(pair[1], what, 1)
-
-
 def _rng(seed: int, *key: int) -> np.random.Generator:
     """A fresh generator on the Philox sub-stream keyed ``key`` under ``seed``."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
@@ -154,7 +155,7 @@ def float_key(value: float) -> int:
 
 def sample_noise(p1: int, p2: int, spec: NoiseSpec, *key: int) -> np.ndarray:
     """One p1 x p2 frame of iid N(0, sigma^2) noise, for replay; same inputs, same bits."""
-    p1, p2 = _dims((p1, p2), "dims")
+    p1, p2 = _count(p1, "dims", 1), _count(p2, "dims", 1)
     return spec.sigma * _rng(spec.seed, *key).standard_normal((p1, p2))
 
 
@@ -195,7 +196,7 @@ def _row_pattern(row: np.ndarray, p1: int):
     (n, a_bar, alpha, h_true), its entry count, its mean, its spread
     ||A - a_bar|| and its index. They are taken from the one row, so they
     cost O(p2), not O(p1·p2). Whenever the row's mean is dyadic, as on the
-    sweeps' patterns at the default dims and at every c, each total is
+    sweeps' patterns at 100 x 200 and at every c, each total is
     exact, so the values are the matrix's own. With no matrix to rescale,
     a sum of squares that ``hoyer_index`` would rescale raises ValueError."""
     p2 = row.size
@@ -388,33 +389,28 @@ def run_robustness(
     seed: int,
     w0: int = 200,
     n_ooc: int = 200,
-    dims: tuple[int, int] = (100, 200),
     mode: str = "debias",
     replicates: int = 1,
     workers: int = 1,
 ):
-    """Error bands of the corrected index across noise levels, fixed dims.
+    """Error bands of the corrected index across noise levels, at
+    ``ROBUSTNESS_DIMS`` (100 x 200).
 
-    For each sigma: take the baseline of ``w0`` in-control frames at
-    ``dims``, read each of ``n_ooc`` shifted frames against it, and band
-    the absolute errors against the anomaly's true index. The baseline and
-    each shifted residual's two totals are drawn from their exact law (see
+    For each sigma: take the baseline of ``w0`` in-control frames, read
+    each of ``n_ooc`` shifted frames against it, and band the absolute
+    errors against the anomaly's true index. The baseline and each shifted
+    residual's two totals are drawn from their exact law (see
     ``_cell_band``), so a cell makes no frame and costs the same whatever
-    ``dims`` and ``w0`` are. Returns {sigma: ErrorBand}; with
-    ``replicates`` > 1 each entry is the per-field median over replicate
-    bands. An empty or repeated grid is refused, and so is a ``dims`` too
-    narrow for the pattern (p2 <= 49 sparse, <= 50 dense), which leaves the
-    anomaly blank. One thread runs the sweep unless ``workers`` > 1 asks
-    for a pool, which changes no value.
+    ``w0`` is. Returns {sigma: ErrorBand}; with ``replicates`` > 1 each
+    entry is the per-field median over replicate bands. An empty or
+    repeated grid is refused. One thread runs the sweep unless ``workers``
+    > 1 asks for a pool, which changes no value.
     """
     sigmas = [float(s) for s in sigmas]
     if not all(math.isfinite(s) and s > 0.0 for s in sigmas):
         raise ValueError(f"sigmas must be finite and > 0, got {sigmas}")
-    p1, p2 = _dims(dims, "dims")
-    row = _fixed_row(kind, p2)
-    pattern = _row_pattern(row, p1)  # the two-entry floor comes first
-    if not row.any():
-        raise ValueError(f"the {kind} anomaly is blank at dims ({p1}, {p2}): every entry is 0")
+    p1, p2 = ROBUSTNESS_DIMS
+    pattern = _row_pattern(_fixed_row(kind, p2), p1)
     cells = [(s, pattern, s, float_key(s)) for s in sigmas]
     return _sweep("sigmas", cells, ROBUSTNESS_TAG, seed, w0, n_ooc, mode, replicates, workers)
 
@@ -448,23 +444,20 @@ def _exact_bias(pattern, sigma: float) -> float:
     return noise_bias(SignalMoments(abs(a_bar), a_bar * a_bar + alpha * alpha / n, sigma * sigma))
 
 
-def verify_bias_theorem(
-    anomaly, sigma: float, dims: tuple[int, int] = (400, 400), reps: int = 50, seed: int = 0
-) -> dict:
+def verify_bias_theorem(anomaly, sigma: float, reps: int = 50, seed: int = 0) -> dict:
     """Monte Carlo check of the bias formula on a known anomaly.
 
-    ``anomaly`` is either a scalar (a constant matrix of integer ``dims``)
-    or an explicit matrix (its own dims are used). Compares the sample mean
-    of index(A + e) - index(A) over ``reps`` noise draws against the formula
+    ``anomaly`` is either a scalar (a constant 400 x 400 matrix) or an
+    explicit matrix (its own dims are used). Compares the sample mean of
+    index(A + e) - index(A) over ``reps`` noise draws against the formula
     evaluated on the anomaly's exact moments. The anomaly is read from one
-    row (``_row_pattern``: ``dims[1]`` copies of the scalar, or the matrix
+    row (``_row_pattern``: 400 copies of the scalar, or the matrix
     flattened) and each index(A + e) from drawn totals (``_law_indices``),
     so no anomaly matrix is built: an anomaly or sigma whose sum of squares
     leaves the normal float range is refused, not rescaled.
     """
     if np.ndim(anomaly) == 0:
-        p1, p2 = dims = _dims(dims, "dims")
-        pattern = _row_pattern(np.full(p2, float(anomaly)), p1)
+        dims, pattern = (400, 400), _row_pattern(np.full(400, float(anomaly)), 400)
     else:
         a = as_image_matrix(anomaly)
         dims, pattern = a.shape, _row_pattern(a.ravel(), 1)
@@ -496,44 +489,40 @@ def near_square_dims(n: int) -> tuple[int, int]:
     raise AssertionError("unreachable")
 
 
-def verify_noise_sparsity_decay(
-    sizes, sigma: float = 1.0, reps: int = 50, seed: int = 0
-) -> list[dict]:
+def verify_noise_sparsity_decay(sizes, reps: int = 50, seed: int = 0) -> list[dict]:
     """Per-size medians of the pure-noise sparsity gap and its scaled form.
 
     For white noise the raw gap 1 - index shrinks like sqrt(log log n / n),
     so the scaled statistic (1 - index) * sqrt(n / log log n) should stay in
     a constant band as n grows. The unclipped index is used: for noise the
     raw ratio hovers on both sides of 1 and clipping would zero the median.
-    Sizes are integer totals (factored near-square) or explicit (p1, p2)
-    pairs; a float is refused, never truncated. The indices are read from
-    drawn pure-noise totals (``_law_indices``).
+    Sizes are entry counts of at least 3 (log log n > 0 from there),
+    factored near-square; a float is refused, never truncated. The indices
+    are read from drawn totals of unit-variance noise (``_law_indices``):
+    the index is scale-invariant, so no other sigma would move a median.
     """
     reps = _count(reps, "reps", 1)
-    dims = [_dims(size, "size") if isinstance(size, tuple) else near_square_dims(size)
-            for size in sizes]
-    for p1, p2 in dims:
-        if p1 * p2 < 3:
-            raise ValueError(f"size must be >= 3 (log log n > 0 from there), got {p1 * p2}")
+    sizes = [_count(n, "size", 3) for n in sizes]
     rows = []
-    for p1, p2 in dims:
-        n = p1 * p2
+    for n in sizes:
+        p1, p2 = near_square_dims(n)
         scale = math.sqrt(n / math.log(math.log(n)))
-        indices = _law_indices((n, 0.0, 0.0), sigma, seed, (DECAY_CHECK_TAG, n), reps, clip=False)
+        indices = _law_indices((n, 0.0, 0.0), 1.0, seed, (DECAY_CHECK_TAG, n), reps, clip=False)
         med = _median(1.0 - indices)
         rows.append({"p1": p1, "p2": p2, "n": n, "median_gap": med, "median_scaled": med * scale})
     return rows
 
 
-def verify_noise_domination(sigma: float = 100.0, reps: int = 20, seed: int = 0) -> dict:
+def verify_noise_domination(reps: int = 20, seed: int = 0) -> dict:
     """Raw indices of the dense test pattern, tiled to a 200 x 200 grid,
-    under ``reps`` draws of overwhelming noise, beside the formula's
-    prediction: index(A) plus nearly its full possible bias, near 1 at the
-    default noise level. The caller judges how close to 1 every replicate
-    must be; ``verify corollary1`` holds that threshold. It reads as
+    under ``reps`` draws of overwhelming noise (sigma = 100), beside the
+    formula's prediction: index(A) plus nearly its full possible bias, near
+    1. The caller judges how close to 1 every replicate must be;
+    ``verify corollary1`` holds that threshold. It reads as
     ``verify_bias_theorem`` does: no anomaly matrix is built, none rescaled.
     """
     reps = _count(reps, "reps", 1)
+    sigma = 100.0
     row = _fixed_row("dense", 200)
     pattern = _row_pattern(row, 200)
     values = _law_indices(pattern, sigma, seed, (DOMINATION_CHECK_TAG,), reps)

@@ -96,7 +96,7 @@ def test_c03_consistency_decay():
 
 
 def test_c04_bias_formula_monte_carlo():
-    result = verify_bias_theorem(1.0, 1.0, dims=(400, 400), reps=50, seed=SEED)
+    result = verify_bias_theorem(1.0, 1.0, reps=50, seed=SEED)
     assert result["predicted_bias"] == pytest.approx(0.29289321881345254, abs=1e-12)
     assert result["abs_diff"] < 0.01
     report(
@@ -106,9 +106,7 @@ def test_c04_bias_formula_monte_carlo():
 
 
 def test_c05_noise_sparsity_decay_bounded():
-    rows = verify_noise_sparsity_decay(
-        [100, 1_000, 10_000, 100_000], sigma=1.0, reps=50, seed=SEED
-    )
+    rows = verify_noise_sparsity_decay([100, 1_000, 10_000, 100_000], reps=50, seed=SEED)
     scaled = [abs(r["median_scaled"]) for r in rows]
     spread = max(scaled) / min(scaled)
     assert spread < 3.0, rows
@@ -121,7 +119,7 @@ def test_c05_noise_sparsity_decay_bounded():
 
 
 def test_c06_noise_domination():
-    result = verify_noise_domination(sigma=100.0, reps=20, seed=SEED)
+    result = verify_noise_domination(reps=20, seed=SEED)
     assert result["min_index"] > 0.95, result
     report(
         "C6 noise domination",

@@ -145,6 +145,16 @@ class TestSimulate:
         assert not (in_tmp / "report.json").exists()
         assert not (in_tmp / "report.csv").exists()
 
+    @pytest.mark.parametrize("paths", [["r.csv"], ["r.json", "--csv-out", "r.json"],
+                                       ["./r.json", "--csv-out", "r.json"]])
+    def test_csv_over_report_exit_2_and_no_file(self, in_tmp, capsys, paths):
+        # The plot CSV would overwrite the report: refused before any cell
+        # runs, naming the option that moves it, and no file is written.
+        assert main(["simulate", "robustness", "--kind", "dense", "--out", *paths]) == 2
+        captured = capsys.readouterr()
+        assert "--csv-out" in captured.err and captured.out == ""
+        assert os.listdir(in_tmp) == []
+
     def test_default_grid_robustness_report(self, in_tmp):
         # Bare invocation reproduces the standard sweep: 12 noise levels,
         # every cell's mean error under 0.08.
@@ -437,6 +447,21 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "n=" in out
+
+    def test_reports_record_each_check_setting(self, in_tmp):
+        # Each experiment's frame shape and noise level are decided in the
+        # simulation alone, and its report records them.
+        assert main(["simulate", "robustness", "--kind", "sparse", "--sigmas", "1.0",
+                     "--w0", "20", "--n-ooc", "10", "--out", "r.json"]) == 0
+        assert json.loads(open("r.json").read())["config"]["dims"] == [100, 200]
+        reports = {}
+        for check in ("theorem1", "corollary1", "lemma2"):
+            main(["verify", check, "--reps", "2", "--out", f"{check}.json"])
+            reports[check] = json.loads(open(f"{check}.json").read())
+        for check, setting in (("theorem1", ([400, 400], 1.0)), ("corollary1", ([200, 200], 100.0))):
+            assert (reports[check]["dims"], reports[check]["sigma"]) == setting, check
+        assert [(r["p1"], r["p2"], r["n"]) for r in reports["lemma2"]["rows"]] == [
+            (10, 10, 100), (25, 40, 1000), (100, 100, 10_000), (250, 400, 100_000)]
 
     @pytest.mark.parametrize("check, reps", [("lemma2", "0"), ("corollary1", "0"), ("theorem1", "1")])
     def test_too_few_reps_exit_2_and_no_report(self, in_tmp, capsys, check, reps):

@@ -1,7 +1,6 @@
 """Anomaly factories, seeded noise, streams, bands, sweep drivers, verifiers."""
 
 import collections
-import json
 import math
 import tracemalloc
 
@@ -28,11 +27,14 @@ from hoyerstream.kernels import matrix_totals
 from hoyerstream.simulate import (
     CELL_BASELINE_TAG,
     CELL_STATS_TAG,
+    DECAY_CHECK_TAG,
     ROBUSTNESS_TAG,
     STREAM_FRAME_TAG,
     _baseline_draws,
     _cell_band,
     _fixed_row,
+    _law_indices,
+    _median,
     _row_pattern,
     _scaled_row,
     _shifted_totals,
@@ -137,7 +139,7 @@ class TestAnomalyFactories:
         assert alpha == pytest.approx(np.linalg.norm(a - a.mean()), rel=1e-13)
         assert h_true == pytest.approx(hoyer_oracle(a), rel=1e-13)
         with pytest.raises(DimensionError, match="too small"):
-            run_robustness([1.0], "dense", 0, dims=(1, 1))
+            _row_pattern(np.ones(1), 1)
 
     def test_invalid_multiplier(self):
         for c in (0, -10, 15, 7):
@@ -260,25 +262,22 @@ class TestKeyDerivation:
 
             monkeypatch.setattr(np.random, name, build)
 
-        def constructions(w0=20, n_ooc=10, replicates=1, dims=(100, 200)):
+        def constructions(w0=20, n_ooc=10, replicates=1):
             counts.clear()
-            run_robustness(
-                [1.0], "dense", 5, w0=w0, n_ooc=n_ooc, replicates=replicates, dims=dims
-            )
+            run_robustness([1.0], "dense", 5, w0=w0, n_ooc=n_ooc, replicates=replicates)
             return dict(counts)
 
         per_cell = constructions()
         assert per_cell == {"SeedSequence": 4, "Philox": 3, "Generator": 3}, per_cell
         assert constructions(n_ooc=40) == per_cell
         assert constructions(w0=200) == per_cell
-        assert constructions(dims=(10_000, 20_000)) == per_cell
         assert constructions(replicates=2) == {k: 2 * v for k, v in per_cell.items()}
 
         # Each verifier (each size, for the decay check) draws all its
         # replicates' totals from one generator: one SeedSequence for its
         # sub-seed, and one SeedSequence, Philox and Generator at its key.
         verifiers = [
-            lambda reps: verify_bias_theorem(1.0, 1.0, dims=(10, 20), reps=reps),
+            lambda reps: verify_bias_theorem(1.0, 1.0, reps=reps),
             lambda reps: verify_noise_sparsity_decay([200], reps=reps),
             lambda reps: verify_noise_domination(reps=reps),
         ]
@@ -452,10 +451,9 @@ class TestShiftedTotals:
             with pytest.raises(ValueError, match="normal float range"):
                 _shifted_totals(NoiseSpec(sigma, 1), 6, b_bar, 0.0, 4)
         # Such a noise level fails the cell's baseline first, as a bad
-        # input, not as an arithmetic error. (One row of 51 columns is the
-        # smallest frame whose dense pattern is not blank.)
+        # input, not as an arithmetic error.
         with pytest.raises(ValueError, match="sigma2_hat must be finite"):
-            run_robustness([1e200], "dense", 0, w0=2, n_ooc=2, dims=(1, 51))
+            run_robustness([1e200], "dense", 0, w0=2, n_ooc=2)
 
 
 class TestResidualStream:
@@ -579,8 +577,8 @@ class TestSweepDrivers:
         # chi-squares with n - 2 for the residuals' totals. The frame size
         # and w0 enter only as degrees of freedom, and n_ooc only as a
         # count; the chi-squares with n - 2 are skipped when n = 2. The
-        # sweep runs on a staircase row, since ``run_robustness`` refuses
-        # dims too narrow for its own pattern.
+        # sweep runs on a staircase row of each shape, since
+        # ``run_robustness`` runs at 100 x 200 only.
         cells = {}
         original = simulate._rng
 
@@ -601,12 +599,6 @@ class TestSweepDrivers:
                 chisquares += [(n - 2, 1), (n - 2, n_ooc)]
             cell = ([(2, 1), (2, n_ooc)], chisquares)
             assert list(cells.values()) == [cell, cell], (dims, w0, n_ooc)
-
-    def test_narrowest_nonblank_patterns_run(self):
-        # The first nonzero column is 50 (sparse) or 51 (dense): these widths
-        # run, and one column fewer is refused (``TestInputRules``).
-        for kind, p2 in (("sparse", 50), ("dense", 51)):
-            assert run_robustness([1.0], kind, 0, dims=(10, p2), w0=20, n_ooc=10)
 
     def test_cells_keyed_by_value_not_position(self):
         full = run_robustness([0.5, 1.0], "sparse", 5, w0=30, n_ooc=20)
@@ -685,7 +677,7 @@ class TestSweepDrivers:
         [
             ("n_ooc", lambda: run_robustness([1.0], "dense", 0, w0=20, n_ooc=10.5)),
             ("replicates", lambda: run_robustness([1.0], "dense", 0, n_ooc=10, replicates=2.5)),
-            ("reps", lambda: verify_bias_theorem(1.0, 1.0, dims=(4, 4), reps=2.5)),
+            ("reps", lambda: verify_bias_theorem(1.0, 1.0, reps=2.5)),
             ("reps", lambda: verify_noise_sparsity_decay([100], reps=2.5)),
             ("reps", lambda: verify_noise_domination(reps=3.5)),
             ("dims", lambda: sample_noise(2.5, 3, NoiseSpec(1.0, 1))),
@@ -707,13 +699,6 @@ class TestSweepDrivers:
         # So is a float w0 (a "20.5-frame" baseline used to be banded).
         with pytest.raises(ValueError, match="w0 must be an integer, got 20.5"):
             run_robustness([1.0], "dense", 0, w0=20.5, n_ooc=10)
-        # So is a float dim (a 100.5-row anomaly used to run its cells).
-        for call in (
-            lambda: run_robustness([1.0], "dense", 0, dims=(100.5, 200), w0=20, n_ooc=20),
-            lambda: verify_bias_theorem(1.0, 1.0, dims=(40.5, 40)),
-        ):
-            with pytest.raises(ValueError, match="dims must be an integer"):
-                call()
         assert run_consistency([np.int64(10)], "dense", 1, w0=20, n_ooc=10) == run_consistency(
             [10], "dense", 1, w0=20, n_ooc=10
         )
@@ -725,22 +710,22 @@ class TestSweepDrivers:
 
 class TestVerifiers:
     def test_bias_theorem_zero_noise(self):
-        report = verify_bias_theorem(1.0, 0.0, dims=(50, 50), reps=5)
+        report = verify_bias_theorem(1.0, 0.0, reps=5)
         assert report["empirical_mean_gap"] == 0.0
         assert report["predicted_bias"] == 0.0
         # A zero anomaly is not out of range: it reads 1, the blank frame.
         assert verify_bias_theorem(np.zeros((4, 4)), 0.0)["anomaly_index"] == 1.0
-        assert verify_bias_theorem(0.0, 0.0, dims=(4, 4))["anomaly_index"] == 1.0
+        assert verify_bias_theorem(0.0, 0.0)["anomaly_index"] == 1.0
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_bias_theorem_refuses_bad_sigma(self, sigma):
         # A negative or NaN sigma used to skip the noise and report
         # abs_diff 0.0, which reads as a pass.
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
-            verify_bias_theorem(1.0, sigma, dims=(10, 10), reps=5)
+            verify_bias_theorem(1.0, sigma, reps=5)
 
     def test_bias_theorem_constant_anomaly(self):
-        report = verify_bias_theorem(1.0, 1.0, dims=(200, 200), reps=20, seed=1)
+        report = verify_bias_theorem(1.0, 1.0, reps=20, seed=1)
         assert report["predicted_bias"] == pytest.approx(0.29289321881345254, abs=1e-12)
         assert report["abs_diff"] < 0.01
 
@@ -753,47 +738,48 @@ class TestVerifiers:
         assert report["abs_diff"] < 0.01
 
     def test_noise_decay_shrinks_like_root_size(self):
-        rows = verify_noise_sparsity_decay([100, 10_000], sigma=1.0, reps=200, seed=4)
+        rows = verify_noise_sparsity_decay([100, 10_000], reps=200, seed=4)
         ratio = abs(rows[0]["median_gap"]) / abs(rows[1]["median_gap"])
         assert 5.0 < ratio < 25.0  # ~sqrt(10000/100) = 10 up to log-log drift
 
     def test_noise_decay_scale_invariant(self):
-        low = verify_noise_sparsity_decay([400], sigma=1.0, reps=30, seed=6)
-        high = verify_noise_sparsity_decay([400], sigma=2.0, reps=30, seed=6)
-        assert low[0]["median_scaled"] == high[0]["median_scaled"]
+        # The decay draws unit-variance noise, which loses nothing: the same
+        # draws at sigma = 2 give the same median.
+        (row,) = verify_noise_sparsity_decay([400], reps=30, seed=6)
+        high = _law_indices((400, 0.0, 0.0), 2.0, 6, (DECAY_CHECK_TAG, 400), 30, clip=False)
+        assert row["median_gap"] == _median(1.0 - high)
 
-    @pytest.mark.parametrize("sizes", [[2], [(1, 2)], [100, (2, 1)]])
+    @pytest.mark.parametrize("sizes", [[2], [100, 2], [np.int64(2)]])
     def test_noise_decay_refuses_size_below_three(self, sizes):
         # The scale sqrt(n / log log n) needs log log n > 0: n >= 3. A bad
         # size anywhere in the list is refused before any draw.
         with pytest.raises(ValueError, match="size must be >= 3.*got 2"):
             verify_noise_sparsity_decay(sizes, reps=2)
 
-    @pytest.mark.parametrize("sizes", [[100.7], [(10.0, 10)], [100, (10, np.float64(10.0))]])
+    @pytest.mark.parametrize("sizes", [[100.7], [100.0], [100, np.float64(100.0)]])
     def test_noise_decay_refuses_float_size(self, sizes):
         # A float size is refused, not truncated (100.7 is not read as 100).
         with pytest.raises(ValueError, match="size must be an integer"):
             verify_noise_sparsity_decay(sizes, reps=2)
 
     def test_noise_decay_accepts_numpy_integers(self):
-        rows = verify_noise_sparsity_decay([np.int64(100), (np.int32(10), 10)], reps=3)
-        assert rows == verify_noise_sparsity_decay([100, (10, 10)], reps=3)
+        rows = verify_noise_sparsity_decay([np.int64(100), np.int32(600)], reps=3)
+        assert rows == verify_noise_sparsity_decay([100, 600], reps=3)
 
     def test_checks_make_no_noise_frame(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a verify check built a noise frame")
 
         monkeypatch.setattr(simulate, "sample_noise", refuse)
-        assert verify_bias_theorem(1.0, 1.0, dims=(40, 40), reps=3)["abs_diff"] < 0.1
-        assert len(verify_noise_sparsity_decay([100, (20, 30)], reps=3)) == 2
+        assert verify_bias_theorem(1.0, 1.0, reps=3)["abs_diff"] < 0.1
+        assert len(verify_noise_sparsity_decay([100, 600], reps=3)) == 2
         assert verify_noise_domination(reps=3)["min_index"] > 0.95
 
     @pytest.mark.parametrize(
         "check",
         [
-            lambda: verify_bias_theorem(1e-160, 1e-160, dims=(4, 4), reps=2),
-            lambda: verify_noise_sparsity_decay([100], sigma=1e-170, reps=2),
-            lambda: verify_noise_sparsity_decay([100], sigma=1e160, reps=2),
+            lambda: verify_bias_theorem(1e-160, 1e-160, reps=2),
+            lambda: verify_bias_theorem(1.0, 1e153, reps=2),
             lambda: verify_bias_theorem(np.full((4, 4), 1e200), 0.0),
             lambda: verify_bias_theorem(np.full((4, 4), 1e-170), 0.0),
         ],
@@ -805,14 +791,10 @@ class TestVerifiers:
         with pytest.raises(ValueError, match="out of the normal float range"):
             check()
 
-    def test_bias_theorem_numpy_integer_dims(self):
-        report = verify_bias_theorem(1.0, 1.0, dims=(np.int64(40), 40), reps=3)
-        assert json.dumps(report) == json.dumps(verify_bias_theorem(1.0, 1.0, dims=(40, 40), reps=3))
-
     @pytest.mark.parametrize(
         "check, bound",
         [
-            (lambda: verify_bias_theorem(1.0, 1.0, dims=(400, 400), reps=5), 128_000),
+            (lambda: verify_bias_theorem(1.0, 1.0, reps=5), 128_000),
             (lambda: verify_noise_domination(reps=3), 32_000),
         ],
         ids=["theorem1", "corollary1"],
@@ -830,9 +812,9 @@ class TestVerifiers:
         assert peak < bound
 
     def test_noise_decay_single_size(self):
-        rows = verify_noise_sparsity_decay([(20, 30)], reps=10)
+        rows = verify_noise_sparsity_decay([600], reps=10)
         assert len(rows) == 1
-        assert (rows[0]["p1"], rows[0]["p2"]) == (20, 30)
+        assert (rows[0]["p1"], rows[0]["p2"], rows[0]["n"]) == (24, 25, 600)
 
     def test_near_square_dims(self):
         assert near_square_dims(100) == (10, 10)

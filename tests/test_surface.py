@@ -1,10 +1,11 @@
 """The package's public names: a pinned list, so the surface grows only on purpose."""
 
+import inspect
 import re
 from pathlib import Path
 
 import hoyerstream
-from hoyerstream import errors, frameio, indices, simulate, stream
+from hoyerstream import cli, errors, frameio, indices, simulate, stream
 
 PUBLIC = [
     "BaselineModel", "DimensionError", "ErrorBand", "FrameFormatError", "MOMENT_MODES",
@@ -16,11 +17,12 @@ PUBLIC = [
 ]
 
 # Test fixtures the pipeline never called, which the tests now build
-# themselves, and the sign-mass warning, which no reading raises.
+# themselves, the sign-mass warning, which no reading raises, and the dims
+# pair rule, which no fixed-shape experiment needs.
 DELETED = [
     "make_dense_anomaly", "make_sparse_anomaly", "make_scaled_anomaly", "_repeat_row",
     "simulate_residual_stream", "write_pgm", "write_matrix_csv", "load_matrix",
-    "moments_from_stats", "MixedSignWarning", "_warn_if_mixed_sign",
+    "moments_from_stats", "MixedSignWarning", "_warn_if_mixed_sign", "_dims",
 ]
 
 
@@ -49,3 +51,13 @@ def test_no_package_path_reads_a_positive_mass():
         if re.search(r"\bmatrix_stats\b", path.read_text(encoding="utf-8"))
     )
     assert naming == ["kernels.py"]
+
+
+def test_experiment_settings_are_not_parameters():
+    # Each experiment's frame shape and noise level are decided once, in
+    # ``simulate``; the command line reads them rather than repeating them.
+    for function, name in ((simulate.run_robustness, "dims"), (simulate.verify_bias_theorem, "dims"),
+                           (simulate.verify_noise_sparsity_decay, "sigma"),
+                           (simulate.verify_noise_domination, "sigma")):
+        assert name not in inspect.signature(function).parameters, (function.__name__, name)
+    assert not hasattr(cli, "SIM_DIMS")
